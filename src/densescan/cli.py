@@ -78,8 +78,8 @@ class PipelineConfig:
     inset_clear_half: int = 30
     spot_profile: str = "gaussian"
     spot_side: int = 101
-    # sigma 47.0: measured spot-spectrum floor 1.1e-8 of max on the
-    # 500x500 grid, safely above the 1e-9 inverse-filter threshold.
+    # sigma 47.0 keeps the spot-spectrum floor above the 1e-9 inverse
+    # threshold; tests/test_deconv.py::test_default_spectral_floor_above_threshold.
     spot_sigma: float = 47.0
     spot_radius: float = 50.0
     step: int = 1

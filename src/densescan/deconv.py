@@ -1,21 +1,24 @@
 """Recovery of the sample image from a dense-scan intermediate image.
 
-Four solver families over the same forward relation (the intermediate
-image is the correlation of the zero-extended sample with the spot):
+Four solver families over one forward relation, the step-1
+zero-background scan :class:`~densescan.scanner.ScanOperator` (the
+intermediate image is the correlation of the zero-extended sample with
+the spot):
 
-* InverseFilter  - spectral division with hard thresholding of small
-  spot-spectrum magnitudes;
+* InverseFilter  - spectral division by the operator's ``transfer``,
+  with hard thresholding of small spot-spectrum magnitudes;
 * Wiener         - Tikhonov-style damped spectral division;
 * RichardsonLucy - multiplicative maximum-likelihood iteration using the
   forward operator and its adjoint;
 * LeastSquaresCG - conjugate gradients on the normal equations, applied
-  matrix-free through the scan operator.
+  matrix-free through the same operator.
 
-The spectral pair works on the intermediate's full extent; because the
-periphery is preprocessed to zero, the sample's correlation support ends
-inside the grid whenever extension >= (spot_side-1)/2 and the circular
-model introduces no aliasing. Constant known backgrounds are reduced to
-the zero-background case by subtracting their forward response.
+The spectral pair divides the intermediate's rFFT by ``transfer``. That
+is exact only when the operator's grid is the intermediate's own, i.e.
+extension >= spot_side // 2; smaller extensions crop the correlation and
+are left to the iterative solvers. Constant known backgrounds are
+reduced to the zero-background case by subtracting their forward
+response.
 """
 
 from __future__ import annotations
@@ -27,16 +30,9 @@ import numpy as np
 
 from .grid import Image, Rect
 from .psf import SpotImage
-from .scanner import (
-    Background,
-    ConstantBackground,
-    ZeroBackground,
-    _corr_valid,
-    _dense_field,
-)
+from .scanner import Background, ConstantBackground, ScanOperator, ZeroBackground
 
 _RL_DIVISION_GUARD = 1e-12
-_OPERATOR_METHOD = "fft"
 
 
 @dataclass(frozen=True)
@@ -122,6 +118,8 @@ def dft2_inverse(spectrum) -> np.ndarray:
 def _embed_psf(spot: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     # Correlation with the spot equals circular convolution with the
     # flipped spot; embed that kernel with its center at the origin.
+    # ScanOperator embeds it shifted by its extension, so the two have
+    # the same DFT magnitude.
     k = spot.shape[0]
     ctr = k // 2
     if shape[0] < k or shape[1] < k:
@@ -129,21 +127,6 @@ def _embed_psf(spot: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     z = np.zeros(shape)
     z[:k, :k] = spot[::-1, ::-1]
     return np.roll(z, (-ctr, -ctr), axis=(0, 1))
-
-
-def _forward(x: np.ndarray, spot: np.ndarray, extension: int) -> np.ndarray:
-    return _dense_field(x, spot, extension, 0.0, _OPERATOR_METHOD)
-
-
-def _adjoint(y: np.ndarray, spot: np.ndarray, extension: int) -> np.ndarray:
-    ctr = spot.shape[0] // 2
-    nh = y.shape[0] - 2 * extension
-    nw = y.shape[1] - 2 * extension
-    pad = max(0, ctr - extension)
-    q = np.pad(y, pad) if pad else y
-    off = max(0, extension - ctr)
-    window = q[off : off + nh + 2 * ctr, off : off + nw + 2 * ctr]
-    return _corr_valid(window, spot[::-1, ::-1], _OPERATOR_METHOD)
 
 
 def _base_dims(intermediate: Image, extension: int) -> tuple[int, int]:
@@ -166,10 +149,13 @@ def _check_roi(roi: Rect, base_w: int, base_h: int) -> None:
         )
 
 
-def _crop_field(field: np.ndarray, roi: Rect, extension: int) -> np.ndarray:
-    y0 = extension + roi.y0
-    x0 = extension + roi.x0
-    return field[y0 : y0 + roi.height, x0 : x0 + roi.width]
+def _crop(field: np.ndarray, roi: Rect) -> np.ndarray:
+    return field[roi.y0 : roi.y0 + roi.height, roi.x0 : roi.x0 + roi.width]
+
+
+def _operator(y: np.ndarray, spot: np.ndarray, extension: int) -> ScanOperator:
+    shape = (y.shape[0] - 2 * extension, y.shape[1] - 2 * extension)
+    return ScanOperator(spot, shape, extension)
 
 
 def adjoint_apply(image: Image, spot: SpotImage, roi: Rect, extension: int) -> Image:
@@ -181,33 +167,20 @@ def adjoint_apply(image: Image, spot: SpotImage, roi: Rect, extension: int) -> I
     base_w, base_h = _base_dims(image, extension)
     extension = int(extension)
     _check_roi(roi, base_w, base_h)
-    full = _adjoint(image.pixels, spot.pixels, extension)
-    out = full[roi.y0 : roi.y0 + roi.height, roi.x0 : roi.x0 + roi.width]
-    return Image(out, image.pitch)
-
-
-def _spectral_setup(y: np.ndarray, spot: np.ndarray, extension: int):
-    ctr = spot.shape[0] // 2
-    if extension < ctr:
-        raise ValueError(
-            f"spectral methods need extension >= {ctr} (half the spot side), "
-            f"got {extension}"
-        )
-    h = dft2_forward(_embed_psf(spot, y.shape))
-    return h, dft2_forward(y)
+    full = _operator(image.pixels, spot.pixels, extension).adjoint(image.pixels)
+    return Image(_crop(full, roi), image.pitch)
 
 
 def _richardson_lucy(y: np.ndarray, spot: np.ndarray, extension: int,
                      iterations: int, on_iterate=None) -> np.ndarray:
-    nh = y.shape[0] - 2 * extension
-    nw = y.shape[1] - 2 * extension
+    op = _operator(y, spot, extension)
     start = max(float(y.mean()), np.finfo(np.float64).tiny)
-    x = np.full((nh, nw), start)
+    x = np.full(op.shape, start)
     for _ in range(iterations):
-        pred = _forward(x, spot, extension)
+        pred = op.forward(x)
         ratio = y / np.maximum(pred, _RL_DIVISION_GUARD)
         # clamp keeps iterates exactly nonnegative even for signed data
-        multiplier = np.maximum(_adjoint(ratio, spot, extension), 0.0)
+        multiplier = np.maximum(op.adjoint(ratio), 0.0)
         x = x * multiplier
         if on_iterate is not None:
             on_iterate(x)
@@ -221,20 +194,19 @@ def _cgls(y: np.ndarray, spot: np.ndarray, extension: int, tolerance: float,
     The recorded residual is ||y - A x|| / ||y||, which CGLS decreases
     monotonically.
     """
-    nh = y.shape[0] - 2 * extension
-    nw = y.shape[1] - 2 * extension
-    x = np.zeros((nh, nw))
+    op = _operator(y, spot, extension)
+    x = np.zeros(op.shape)
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
         return x, 0, []
     r = y.copy()
-    s = _adjoint(r, spot, extension)
+    s = op.adjoint(r)
     p = s.copy()
     gamma = float(np.vdot(s, s).real)
     history: list[float] = []
     iterations = 0
     for _ in range(max_iterations):
-        q = _forward(p, spot, extension)
+        q = op.forward(p)
         qq = float(np.vdot(q, q).real)
         if qq == 0.0 or gamma == 0.0:
             break
@@ -246,19 +218,18 @@ def _cgls(y: np.ndarray, spot: np.ndarray, extension: int, tolerance: float,
         history.append(relres)
         if relres <= tolerance:
             break
-        s = _adjoint(r, spot, extension)
+        s = op.adjoint(r)
         gamma_next = float(np.vdot(s, s).real)
         p = s + (gamma_next / gamma) * p
         gamma = gamma_next
     return x, iterations, history
 
 
-def _relative_residual(x: np.ndarray, y: np.ndarray, spot: np.ndarray,
-                       extension: int) -> float:
+def _relative_residual(x: np.ndarray, y: np.ndarray, op: ScanOperator) -> float:
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
         return 0.0
-    return float(np.linalg.norm(y - _forward(x, spot, extension))) / ynorm
+    return float(np.linalg.norm(y - op.forward(x))) / ynorm
 
 
 def recover(intermediate: Image, spot: SpotImage, roi: Rect, extension: int,
@@ -276,38 +247,42 @@ def recover(intermediate: Image, spot: SpotImage, roi: Rect, extension: int,
     extension = int(extension)
     _check_roi(roi, base_w, base_h)
     y = intermediate.pixels
+    op = _operator(y, spot.pixels, extension)
     if isinstance(background, ConstantBackground):
         if background.level != 0.0:
-            empty = np.zeros((base_h, base_w))
-            y = y - _dense_field(empty, spot.pixels, extension,
-                                 background.level, _OPERATOR_METHOD)
+            y = y - op.forward(np.zeros(op.shape), background.level)
     elif not isinstance(background, ZeroBackground):
         raise ValueError(f"unknown background model {background!r}")
 
     pitch = intermediate.pitch
-    if isinstance(request, InverseFilter):
-        h, yspec = _spectral_setup(y, spot.pixels, extension)
-        mag = np.abs(h)
-        keep = (mag >= request.threshold * mag.max()) & (mag > 0.0)
-        xspec = np.where(keep, yspec / np.where(keep, h, 1.0), 0.0)
-        field = dft2_inverse(xspec).real
-        return RecoveryResult(Image(_crop_field(field, roi, extension), pitch), 0, 0.0)
-    if isinstance(request, Wiener):
-        h, yspec = _spectral_setup(y, spot.pixels, extension)
-        denom = np.square(np.abs(h)) + request.nsr
-        safe = denom > 0.0
-        xspec = np.where(safe, yspec * np.conj(h) / np.where(safe, denom, 1.0), 0.0)
-        field = dft2_inverse(xspec).real
-        return RecoveryResult(Image(_crop_field(field, roi, extension), pitch), 0, 0.0)
+    if isinstance(request, (InverseFilter, Wiener)):
+        ctr = spot.pixels.shape[0] // 2
+        if extension < ctr:
+            raise ValueError(
+                f"spectral methods need extension >= {ctr} (half the spot side), "
+                f"got {extension}"
+            )
+        # The operator's grid is the intermediate's: its spectrum is
+        # transfer times the spectrum of the sample at the grid origin.
+        h = op.transfer
+        yspec = np.fft.rfft2(y)
+        if isinstance(request, InverseFilter):
+            mag = np.abs(h)
+            keep = (mag >= request.threshold * mag.max()) & (mag > 0.0)
+            xspec = np.where(keep, yspec / np.where(keep, h, 1.0), 0.0)
+        else:
+            denom = np.square(np.abs(h)) + request.nsr
+            safe = denom > 0.0
+            xspec = np.where(safe, yspec * np.conj(h) / np.where(safe, denom, 1.0), 0.0)
+        field = np.fft.irfft2(xspec, op.grid)
+        return RecoveryResult(Image(_crop(field, roi), pitch), 0, 0.0)
     if isinstance(request, RichardsonLucy):
         x = _richardson_lucy(y, spot.pixels, extension, request.iterations)
-        res = _relative_residual(x, y, spot.pixels, extension)
-        out = x[roi.y0 : roi.y0 + roi.height, roi.x0 : roi.x0 + roi.width]
-        return RecoveryResult(Image(out, pitch), request.iterations, res)
+        res = _relative_residual(x, y, op)
+        return RecoveryResult(Image(_crop(x, roi), pitch), request.iterations, res)
     if isinstance(request, LeastSquaresCG):
         x, iters, history = _cgls(y, spot.pixels, extension,
                                   request.tolerance, request.max_iterations)
-        res = history[-1] if history else _relative_residual(x, y, spot.pixels, extension)
-        out = x[roi.y0 : roi.y0 + roi.height, roi.x0 : roi.x0 + roi.width]
-        return RecoveryResult(Image(out, pitch), iters, res)
+        res = history[-1] if history else _relative_residual(x, y, op)
+        return RecoveryResult(Image(_crop(x, roi), pitch), iters, res)
     raise ValueError(f"unknown deconvolution request {request!r}")

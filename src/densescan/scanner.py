@@ -8,6 +8,18 @@ the extended sample with the spot; coarser steps subsample that dense
 field, so usual-scan outputs are bit-identical to subsampled dense-scan
 outputs by construction.
 
+That correlation is one linear map, :class:`ScanOperator`. It
+multiplies spectra by ``transfer``, the flipped spot's rFFT on a
+circular grid padded by ``max(extension, spot_side // 2)`` per side:
+wide enough to hold the whole linear correlation, so the circular
+product is exact. When ``extension >= spot_side // 2`` that grid is
+the dense intermediate's own, which is why the spectral solvers in
+:mod:`densescan.deconv` need that extension: only then is the
+intermediate's spectrum ``transfer`` times the sample's. The wide-field
+blur is the same map with the flipped PSF and no extension. The
+``direct`` path accumulates taps in a fixed order and is the
+bit-reproducible reference.
+
 Lattice convention: sites per axis are c_i = -extension + (step-1)//2 +
 i*step for i in range(floor((N + 2*extension)/step)); footprints are
 centered on their step cell, which reproduces side-by-side tiling when
@@ -63,28 +75,6 @@ class ScanConfig:
         object.__setattr__(self, "extension", int(self.extension))
 
 
-def _next_fast_len(n: int) -> int:
-    # smallest 5-smooth integer >= n
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
-
-
-def _corr_valid_fft(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    kh, kw = kernel.shape
-    ph, pw = padded.shape
-    oh, ow = ph - kh + 1, pw - kw + 1
-    fh, fw = _next_fast_len(ph), _next_fast_len(pw)
-    spec = np.fft.rfft2(padded, (fh, fw)) * np.fft.rfft2(kernel[::-1, ::-1], (fh, fw))
-    full = np.fft.irfft2(spec, (fh, fw))
-    return full[kh - 1 : kh - 1 + oh, kw - 1 : kw - 1 + ow]
-
-
 def _corr_valid_direct(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # Accumulates kernel taps in row-major order; per-pixel summation
     # order is therefore fixed and results are bit-reproducible.
@@ -98,38 +88,69 @@ def _corr_valid_direct(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def _corr_valid(padded: np.ndarray, kernel: np.ndarray, method: str) -> np.ndarray:
-    if method == "auto":
-        oh = padded.shape[0] - kernel.shape[0] + 1
-        ow = padded.shape[1] - kernel.shape[1] + 1
-        macs = kernel.size * max(oh, 1) * max(ow, 1)
-        method = "direct" if macs < 2_000_000 else "fft"
-    if method == "fft":
-        return _corr_valid_fft(padded, kernel)
-    if method == "direct":
-        return _corr_valid_direct(padded, kernel)
-    raise ValueError(f"unknown method {method!r}, expected fft, direct or auto")
+class ScanOperator:
+    """The step-1 scan of a sample of ``shape`` (rows, columns), built
+    once per (spot, sample shape, extension); see the module docstring.
+    """
 
+    def __init__(self, spot: np.ndarray, shape: tuple[int, int], extension: int) -> None:
+        ctr = spot.shape[0] // 2
+        pad = max(extension, ctr)
+        self.shape = shape
+        self.extension = extension
+        self.grid = (shape[0] + 2 * pad, shape[1] + 2 * pad)
+        self._band = extension - ctr
+        self._spot_sum = float(spot.sum())
+        # Fields sit at the grid origin, so the flipped spot's first tap
+        # goes to extension - ctr (wrapping): sample pixel 0 then lands
+        # on lattice site `extension` with no shift of input or output.
+        rows, cols = ((np.arange(spot.shape[0]) + self._band) % n for n in self.grid)
+        kernel = np.zeros(self.grid)
+        kernel[np.ix_(rows, cols)] = spot[::-1, ::-1]
+        self.transfer = np.fft.rfft2(kernel)
 
-def _dense_field(sample: np.ndarray, spot: np.ndarray, extension: int,
-                 bg_level: float, method: str) -> np.ndarray:
-    """Step-1 scan field over the full lattice, shape N + 2*extension."""
-    nh, nw = sample.shape
-    ctr = spot.shape[0] // 2
-    pad = extension + ctr
-    padded = np.full((nh + 2 * pad, nw + 2 * pad), float(bg_level))
-    padded[pad : pad + nh, pad : pad + nw] = sample
-    out = _corr_valid(padded, spot, method)
-    if bg_level == 0.0:
-        # Sites whose footprint misses the sample are structurally zero;
-        # pin them to exact 0.0 so the support contract is bitwise.
-        band = extension - ctr
+    def forward(self, x: np.ndarray, level: float = 0.0) -> np.ndarray:
+        """Scan field of ``x`` with the sample extended by ``level``."""
+        # Over a constant periphery the scan is the zero-background scan
+        # of x - level plus level times the spot's total weight.
+        spec = np.fft.rfft2(x - level if level else x, self.grid)
+        spec *= self.transfer
+        ext = self.extension
+        out = np.fft.irfft2(spec, self.grid)[: self.shape[0] + 2 * ext, : self.shape[1] + 2 * ext]
+        band = self._band
         if band > 0:
+            # Sites whose footprint misses the sample are structurally
+            # zero; pin them to exact 0.0 so the support contract is bitwise.
             out[:band, :] = 0.0
             out[-band:, :] = 0.0
             out[:, :band] = 0.0
             out[:, -band:] = 0.0
-    return out
+        if level:
+            out += level * self._spot_sum
+        return out
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """Transpose of the zero-background :meth:`forward`."""
+        spec = np.fft.rfft2(y, self.grid)
+        # conj(conj(Y) * H) == Y * conj(H), with no conj(H) temporary
+        np.conjugate(spec, out=spec)
+        spec *= self.transfer
+        np.conjugate(spec, out=spec)
+        return np.fft.irfft2(spec, self.grid)[: self.shape[0], : self.shape[1]]
+
+
+def _scan_field(sample: np.ndarray, kernel: np.ndarray, extension: int,
+                level: float, method: str) -> np.ndarray:
+    """Step-1 correlation of the level-extended sample with ``kernel``."""
+    out_h, out_w = sample.shape[0] + 2 * extension, sample.shape[1] + 2 * extension
+    if method == "auto":
+        method = "direct" if kernel.size * out_h * out_w < 2_000_000 else "fft"
+    if method == "fft":
+        return ScanOperator(kernel, sample.shape, extension).forward(sample, level)
+    if method == "direct":
+        pad = extension + kernel.shape[0] // 2
+        return _corr_valid_direct(np.pad(sample, pad, constant_values=level), kernel)
+    raise ValueError(f"unknown method {method!r}, expected fft, direct or auto")
 
 
 def scan_dims(sample_width: int, sample_height: int, config: ScanConfig) -> tuple[int, int]:
@@ -147,8 +168,9 @@ def simulate_scan(sample: Image, spot: SpotImage, config: ScanConfig,
     at its lattice site; the extended sample equals the background level
     outside the sample bounds. Output pitch is sample pitch times step.
 
-    method selects the computation path: "fft" (fast), "direct"
-    (vectorized row-major accumulation) or "auto".
+    method selects the computation path: "fft" (fast, through
+    :class:`ScanOperator`), "direct" (vectorized row-major accumulation,
+    the bit-reproducible reference) or "auto".
     """
     out_w, out_h = scan_dims(sample.width, sample.height, config)
     if out_w < 1 or out_h < 1:
@@ -157,7 +179,7 @@ def simulate_scan(sample: Image, spot: SpotImage, config: ScanConfig,
             f"{sample.width + 2 * config.extension}x{sample.height + 2 * config.extension}"
         )
     bg = 0.0 if isinstance(config.background, ZeroBackground) else config.background.level
-    dense = _dense_field(sample.pixels, spot.pixels, config.extension, bg, method)
+    dense = _scan_field(sample.pixels, spot.pixels, config.extension, bg, method)
     off = (config.step - 1) // 2
     sub = dense[off :: config.step, off :: config.step][:out_h, :out_w]
     return Image(sub, sample.pitch * config.step)
@@ -174,12 +196,8 @@ def widefield_blur(sample: Image, microscope_psf: Image, method: str = "auto") -
         raise ValueError(f"psf must be square, got {psf.shape[1]}x{psf.shape[0]}")
     if psf.shape[0] % 2 == 0:
         raise ValueError(f"psf side must be odd, got {psf.shape[0]}")
-    ctr = psf.shape[0] // 2
-    padded = np.zeros((sample.height + 2 * ctr, sample.width + 2 * ctr))
-    padded[ctr : ctr + sample.height, ctr : ctr + sample.width] = sample.pixels
     # convolution = correlation with the flipped kernel
-    out = _corr_valid(padded, psf[::-1, ::-1], method)
-    return Image(out, sample.pitch)
+    return Image(_scan_field(sample.pixels, psf[::-1, ::-1], 0, 0.0, method), sample.pitch)
 
 
 def add_noise(image: Image, sigma: float, seed: int) -> Image:

@@ -162,6 +162,21 @@ def test_inverse_filter_threshold_precondition(rng):
     assert h.min() > 1e-6 * h.max()
 
 
+def test_default_spectral_floor_above_threshold():
+    # The default spot is chosen so that every component of the scan
+    # operator's transfer on the exact intermediate grid survives the
+    # default inverse threshold; a grid rounded up (e.g. to a fast FFT
+    # length) would put the floor below it.
+    from densescan.cli import PipelineConfig, build_spot
+    from densescan.scanner import ScanOperator
+
+    cfg = PipelineConfig()
+    op = ScanOperator(build_spot(cfg).pixels, (cfg.roi_height, cfg.roi_width), cfg.extension)
+    assert op.grid == (cfg.roi_height + 2 * cfg.extension, cfg.roi_width + 2 * cfg.extension)
+    mag = np.abs(op.transfer)
+    assert mag.min() / mag.max() > cfg.threshold
+
+
 def test_wiener_approaches_inverse_filter(rng):
     sample = Image(rng.random((64, 64)), 1.0)
     spot = make_spot(Gaussian(0.7), 9)
@@ -201,6 +216,14 @@ def test_constant_background_reduction(rng):
     inter = simulate_scan(sample, spot, ScanConfig(1, 8, bg))
     res = recover(inter, spot, Rect(0, 0, 32, 32), 8, InverseFilter(1e-9), background=bg)
     assert np.mean(np.abs(res.recovered.pixels - sample.pixels)) < 1e-9
+    # every solver sees the zero-background data once the response is removed
+    clean = simulate_scan(sample, spot, ScanConfig(1, 8))
+    roi = Rect(0, 0, 32, 32)
+    for request in (InverseFilter(1e-9), Wiener(1e-6), RichardsonLucy(20),
+                    LeastSquaresCG(1e-30, 20)):
+        got = recover(inter, spot, roi, 8, request, background=bg).recovered.pixels
+        want = recover(clean, spot, roi, 8, request).recovered.pixels
+        assert np.max(np.abs(got - want)) < 1e-11, request
 
 
 def test_recover_validation_errors(rng):
