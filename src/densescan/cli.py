@@ -5,26 +5,16 @@ Exit codes: 0 success, 1 runtime or file-format error, 2 usage or
 configuration error.
 """
 
-from __future__ import annotations
-
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
-from .deconv import (
-    DeconvRequest,
-    InverseFilter,
-    LeastSquaresCG,
-    RichardsonLucy,
-    Wiener,
-    recover,
-)
+from .deconv import InverseFilter, LeastSquaresCG, RichardsonLucy, Wiener, recover
 from .grid import FormatError, Image, Rect, crop, export_pgm, load_ddsf, save_ddsf
 from .metrics import CSV_HEADER, compare, two_point_contrast
-from .patterns import BarGrid, PatternSpec, PointPair, RandomBlobs, SiemensStar, generate
+from .patterns import BarGrid, PointPair, RandomBlobs, SiemensStar, generate
 from .psf import AiryCore, Disk, Gaussian, SpotImage, make_microscope_psf, make_spot
 from .scanner import (
     Background,
@@ -84,13 +74,19 @@ class PipelineConfig:
     spot_radius: float = 50.0
     step: int = 1
     extension: int = 100
-    background: Background = field(default_factory=ZeroBackground)
+    background: Background = field(
+        default_factory=ZeroBackground,
+        metadata={"parse": _parse_background, "format": _format_background},
+    )
     scan_method: str = "fft"
     microscope_radius: float = 2000.0
     microscope_side: int = 2001
     noise_sigma: float = 0.0
     noise_seed: int = 1
-    noise_sweep: tuple[float, ...] = ()
+    noise_sweep: tuple[float, ...] = field(default=(), metadata={
+        "parse": lambda text: tuple(float(v) for v in text.replace(",", " ").split()),
+        "format": lambda sigmas: " ".join(repr(v) for v in sigmas),
+    })
     method: str = "inverse"
     threshold: float = 1e-9
     nsr: float = 1e-4
@@ -101,29 +97,37 @@ class PipelineConfig:
     pgm_depth: int = 8
 
 
-_CONVERTERS = {
-    "roi_width": int, "roi_height": int, "pitch": float,
-    "pattern": str, "bar_period": int, "bar_duty": float,
-    "pair_separation": int, "star_spokes": int,
-    "blob_count": int, "blob_radius": float, "blob_seed": int,
-    "inset_pair_separation": int, "inset_center_x": int,
-    "inset_center_y": int, "inset_clear_half": int,
-    "spot_profile": str, "spot_side": int, "spot_sigma": float, "spot_radius": float,
-    "step": int, "extension": int, "background": _parse_background,
-    "scan_method": str, "microscope_radius": float, "microscope_side": int,
-    "noise_sigma": float, "noise_seed": int,
-    "noise_sweep": lambda s: tuple(float(v) for v in s.replace(",", " ").split()),
-    "method": str, "threshold": float, "nsr": float, "iterations": int,
-    "tolerance": float, "max_iterations": int,
-    "output_dir": str, "pgm_depth": int,
+# One name -> constructor table per family. A constructor reads PipelineConfig
+# field names, so it takes the harness config or a subcommand's arguments, whose
+# options that set a config key store under that key (see _config_option).
+PATTERNS = {
+    "bar-grid": lambda c: BarGrid(c.bar_period, c.bar_duty),
+    "point-pair": lambda c: PointPair(c.pair_separation),
+    "siemens-star": lambda c: SiemensStar(c.star_spokes),
+    "random-blobs": lambda c: RandomBlobs(c.blob_count, c.blob_radius, c.blob_seed),
 }
+PROFILES = {
+    "gaussian": lambda c: Gaussian(c.spot_sigma),
+    "airy": lambda c: AiryCore(c.spot_radius),
+    "disk": lambda c: Disk(c.spot_radius),
+}
+SOLVERS = {
+    "inverse": lambda c: InverseFilter(c.threshold),
+    "wiener": lambda c: Wiener(c.nsr),
+    "rl": lambda c: RichardsonLucy(c.iterations),
+    "cgls": lambda c: LeastSquaresCG(c.tolerance, c.max_iterations),
+}
+SCAN_METHODS = ("auto", "fft", "direct")
+
+_FIELDS = {f.name: f for f in fields(PipelineConfig)}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse a flat ``key = value`` config file ('#' starts a comment).
 
-    Unknown keys and conversion failures raise ConfigError. Keys not
-    present keep their defaults.
+    Unknown keys and conversion failures raise ConfigError. A value is
+    parsed by its field's ``parse`` metadata, else by the field's type;
+    keys not present keep their defaults.
     """
     try:
         text = Path(path).read_text()
@@ -137,11 +141,11 @@ def load_config(path: str | Path) -> PipelineConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        conv = _CONVERTERS.get(key)
-        if conv is None:
+        f = _FIELDS.get(key)
+        if f is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            overrides[key] = conv(value)
+            overrides[key] = f.metadata.get("parse", f.type)(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     cfg = replace(PipelineConfig(), **overrides)
@@ -150,21 +154,26 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def _validate_config(cfg: PipelineConfig) -> None:
-    if cfg.pattern not in ("bar-grid", "point-pair", "siemens-star", "random-blobs"):
-        raise ConfigError(f"unknown pattern {cfg.pattern!r}")
-    if cfg.spot_profile not in ("gaussian", "airy", "disk"):
-        raise ConfigError(f"unknown spot profile {cfg.spot_profile!r}")
-    if cfg.method not in ("inverse", "wiener", "rl", "cgls"):
-        raise ConfigError(f"unknown solver method {cfg.method!r}")
-    if cfg.scan_method not in ("fft", "direct", "auto"):
-        raise ConfigError(f"unknown scan method {cfg.scan_method!r}")
+    for key, names in (("pattern", PATTERNS), ("spot_profile", PROFILES),
+                       ("method", SOLVERS), ("scan_method", SCAN_METHODS)):
+        if getattr(cfg, key) not in names:
+            raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}")
     if cfg.pgm_depth not in (8, 16):
         raise ConfigError(f"pgm_depth must be 8 or 16, got {cfg.pgm_depth}")
     if cfg.step != 1:
         raise ConfigError("the pipeline harness requires step = 1 (dense scan)")
-    for s in cfg.noise_sweep:
-        if s < 0:
-            raise ConfigError(f"noise_sweep sigmas must be >= 0, got {s}")
+    for sigma in (cfg.noise_sigma, *cfg.noise_sweep):
+        if not (sigma >= 0 and math.isfinite(sigma)):
+            raise ConfigError(f"noise sigmas must be finite and >= 0, got {sigma}")
+    # The chosen pattern, spot, scan and solver check their own parameters;
+    # building them here reports a bad value before any output is written.
+    try:
+        PATTERNS[cfg.pattern](cfg)
+        build_spot(cfg)
+        ScanConfig(cfg.step, cfg.extension, cfg.background)
+        SOLVERS[cfg.method](cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_text(cfg: PipelineConfig) -> str:
@@ -172,24 +181,9 @@ def config_text(cfg: PipelineConfig) -> str:
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.name == "background":
-            text = _format_background(value)
-        elif f.name == "noise_sweep":
-            text = " ".join(repr(v) for v in value)
-        else:
-            text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{f.name} = {text}")
+        fmt = f.metadata.get("format", repr if isinstance(value, float) else str)
+        lines.append(f"{f.name} = {fmt(value)}")
     return "\n".join(lines) + "\n"
-
-
-def base_pattern_spec(cfg: PipelineConfig) -> PatternSpec:
-    if cfg.pattern == "bar-grid":
-        return BarGrid(cfg.bar_period, cfg.bar_duty)
-    if cfg.pattern == "point-pair":
-        return PointPair(cfg.pair_separation)
-    if cfg.pattern == "siemens-star":
-        return SiemensStar(cfg.star_spokes)
-    return RandomBlobs(cfg.blob_count, cfg.blob_radius, cfg.blob_seed)
 
 
 def inset_pair_points(cfg: PipelineConfig) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -202,7 +196,7 @@ def inset_pair_points(cfg: PipelineConfig) -> tuple[tuple[int, int], tuple[int, 
 def build_target(cfg: PipelineConfig) -> Image:
     """The harness ground truth: the base pattern, optionally with a
     cleared box holding a two-impulse resolution probe."""
-    image = generate(base_pattern_spec(cfg), cfg.roi_width, cfg.roi_height, cfg.pitch)
+    image = generate(PATTERNS[cfg.pattern](cfg), cfg.roi_width, cfg.roi_height, cfg.pitch)
     if cfg.inset_pair_separation <= 0:
         return image
     half = cfg.inset_clear_half
@@ -220,23 +214,7 @@ def build_target(cfg: PipelineConfig) -> Image:
 
 
 def build_spot(cfg: PipelineConfig) -> SpotImage:
-    if cfg.spot_profile == "gaussian":
-        profile = Gaussian(cfg.spot_sigma)
-    elif cfg.spot_profile == "airy":
-        profile = AiryCore(cfg.spot_radius)
-    else:
-        profile = Disk(cfg.spot_radius)
-    return make_spot(profile, cfg.spot_side, cfg.pitch)
-
-
-def build_request(cfg: PipelineConfig) -> DeconvRequest:
-    if cfg.method == "inverse":
-        return InverseFilter(cfg.threshold)
-    if cfg.method == "wiener":
-        return Wiener(cfg.nsr)
-    if cfg.method == "rl":
-        return RichardsonLucy(cfg.iterations)
-    return LeastSquaresCG(cfg.tolerance, cfg.max_iterations)
+    return make_spot(PROFILES[cfg.spot_profile](cfg), cfg.spot_side, cfg.pitch)
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict:
@@ -263,7 +241,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
     conventional = widefield_blur(expected, microscope)
 
     roi = Rect(0, 0, cfg.roi_width, cfg.roi_height)
-    request = build_request(cfg)
+    request = SOLVERS[cfg.method](cfg)
     result = recover(intermediate, spot, roi, cfg.extension, request, cfg.background)
 
     images = {
@@ -313,27 +291,17 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
 # subcommand handlers
 
 def _cmd_gen_sample(args: argparse.Namespace) -> int:
-    if args.pattern == "bar-grid":
-        spec: PatternSpec = BarGrid(args.period, args.duty)
-    elif args.pattern == "point-pair":
-        spec = PointPair(args.sep)
-    elif args.pattern == "siemens-star":
-        spec = SiemensStar(args.spokes)
-    else:
-        spec = RandomBlobs(args.count, args.radius, args.seed)
-    image = generate(spec, args.size, args.size, args.pitch)
+    image = generate(PATTERNS[args.pattern](args), args.size, args.size, args.pitch)
     save_ddsf(image, args.output)
     return 0
 
 
 def _cmd_gen_spot(args: argparse.Namespace) -> int:
-    if args.profile == "gaussian":
-        sigma = args.sigma if args.sigma is not None else args.side / 6.0
-        profile = Gaussian(sigma)
-    else:
-        radius = args.radius if args.radius is not None else (args.side - 1) // 2
-        profile = AiryCore(radius) if args.profile == "airy" else Disk(radius)
-    save_ddsf(make_spot(profile, args.side, args.pitch).image, args.output)
+    if args.spot_sigma is None:
+        args.spot_sigma = args.spot_side / 6.0
+    if args.spot_radius is None:
+        args.spot_radius = (args.spot_side - 1) // 2
+    save_ddsf(build_spot(args).image, args.output)
     return 0
 
 
@@ -341,7 +309,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     sample = load_ddsf(args.sample)
     spot = SpotImage(load_ddsf(args.spot))
     config = ScanConfig(args.step, args.extension, _parse_background(args.background))
-    out = simulate_scan(sample, spot, config, args.method)
+    out = simulate_scan(sample, spot, config, args.scan_method)
     save_ddsf(out, args.output)
     return 0
 
@@ -350,44 +318,30 @@ def _cmd_blur(args: argparse.Namespace) -> int:
     sample = load_ddsf(args.sample)
     if args.psf is not None:
         psf = load_ddsf(args.psf)
-    elif args.airy_radius is not None:
-        side = args.psf_side
-        if side is None:
-            side = 2 * int(np.ceil(args.airy_radius)) + 1
-        psf = make_microscope_psf(args.airy_radius, side, sample.pitch)
     else:
-        raise ValueError("blur needs either --psf or --airy-radius")
+        side = args.microscope_side
+        if side is None:
+            side = 2 * math.ceil(args.microscope_radius) + 1
+        psf = make_microscope_psf(args.microscope_radius, side, sample.pitch)
     save_ddsf(widefield_blur(sample, psf), args.output)
     return 0
 
 
 def _cmd_noise(args: argparse.Namespace) -> int:
     image = load_ddsf(args.input)
-    save_ddsf(add_noise(image, args.sigma, args.seed), args.output)
+    save_ddsf(add_noise(image, args.noise_sigma, args.noise_seed), args.output)
     return 0
 
 
 def _cmd_deconv(args: argparse.Namespace) -> int:
     intermediate = load_ddsf(args.intermediate)
     spot = SpotImage(load_ddsf(args.spot))
-    if args.method == "inverse":
-        request: DeconvRequest = InverseFilter(args.threshold)
-    elif args.method == "wiener":
-        request = Wiener(args.nsr)
-    elif args.method == "rl":
-        request = RichardsonLucy(args.iters)
-    else:
-        request = LeastSquaresCG(args.tol, args.max_iters)
-    width = intermediate.width - 2 * args.extension
-    height = intermediate.height - 2 * args.extension
-    if width < 1 or height < 1:
-        raise ValueError(
-            f"extension {args.extension} inconsistent with intermediate "
-            f"{intermediate.width}x{intermediate.height}"
-        )
-    roi = Rect(0, 0, width, height)
-    result = recover(intermediate, spot, roi, args.extension, request,
-                     _parse_background(args.background))
+    request = SOLVERS[args.method](args)
+    ext = args.extension
+    # recover, not Rect, reports an extension that leaves no sample
+    roi = Rect(0, 0, max(intermediate.width - 2 * ext, 1),
+               max(intermediate.height - 2 * ext, 1))
+    result = recover(intermediate, spot, roi, ext, request, _parse_background(args.background))
     save_ddsf(result.recovered, args.output)
     if isinstance(request, (RichardsonLucy, LeastSquaresCG)):
         print(f"iterations = {result.iterations_used}")
@@ -414,6 +368,18 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
+def _config_option(parser, flag: str, key: str, **kwargs) -> None:
+    """Add ``flag``, stored as config key ``key`` with that field's type and default."""
+    f = _FIELDS[key]
+    if f.type in (int, float):
+        kwargs["type"] = f.type
+    if not kwargs.get("required"):
+        kwargs.setdefault("default", f.default)
+    if "choices" not in kwargs:
+        kwargs["metavar"] = flag.lstrip("-").replace("-", "_").upper()
+    parser.add_argument(flag, dest=key, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="densescan",
@@ -422,67 +388,66 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-sample", help="generate a ground-truth test target")
-    p.add_argument("--pattern", required=True,
-                   choices=["bar-grid", "point-pair", "siemens-star", "random-blobs"])
+    _config_option(p, "--pattern", "pattern", required=True, choices=PATTERNS)
     p.add_argument("--size", type=int, required=True, help="square canvas side, px")
-    p.add_argument("--pitch", type=float, default=0.1, help="nm per pixel")
-    p.add_argument("--period", type=int, default=10)
-    p.add_argument("--duty", type=float, default=0.5)
-    p.add_argument("--sep", type=int, default=20)
-    p.add_argument("--spokes", type=int, default=12)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--radius", type=float, default=8.0)
-    p.add_argument("--seed", type=int, default=42)
+    _config_option(p, "--pitch", "pitch", help="nm per pixel")
+    for flag, key in (("--period", "bar_period"), ("--duty", "bar_duty"),
+                      ("--sep", "pair_separation"), ("--spokes", "star_spokes"),
+                      ("--count", "blob_count"), ("--radius", "blob_radius"),
+                      ("--seed", "blob_seed")):
+        _config_option(p, flag, key)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen_sample)
 
     p = sub.add_parser("gen-spot", help="generate a scan spot image")
-    p.add_argument("--profile", required=True, choices=["gaussian", "airy", "disk"])
-    p.add_argument("--side", type=int, required=True, help="odd side, px")
-    p.add_argument("--sigma", type=float, default=None, help="gaussian sigma (default side/6)")
-    p.add_argument("--radius", type=float, default=None,
+    _config_option(p, "--profile", "spot_profile", required=True, choices=PROFILES)
+    _config_option(p, "--side", "spot_side", required=True, help="odd side, px")
+    _config_option(p, "--sigma", "spot_sigma", default=None,
+                   help="gaussian sigma (default side/6)")
+    _config_option(p, "--radius", "spot_radius", default=None,
                    help="airy first zero / disk radius (default (side-1)/2)")
-    p.add_argument("--pitch", type=float, default=0.1)
+    _config_option(p, "--pitch", "pitch")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen_spot)
 
     p = sub.add_parser("scan", help="simulate a point scan")
     p.add_argument("--sample", required=True)
     p.add_argument("--spot", required=True)
-    p.add_argument("--step", type=int, default=1)
-    p.add_argument("--extension", type=int, default=0)
-    p.add_argument("--background", default="zero", help="zero or constant:<level>")
-    p.add_argument("--method", default="auto", choices=["auto", "fft", "direct"])
+    _config_option(p, "--step", "step")
+    _config_option(p, "--extension", "extension", default=0)
+    _config_option(p, "--background", "background", default="zero",
+                   help="zero or constant:<level>")
+    _config_option(p, "--method", "scan_method", default="auto", choices=SCAN_METHODS)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("blur", help="wide-field microscope baseline")
     p.add_argument("--sample", required=True)
-    p.add_argument("--psf", default=None, help="DDSF psf image")
-    p.add_argument("--airy-radius", type=float, default=None,
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--psf", default=None, help="DDSF psf image")
+    _config_option(source, "--airy-radius", "microscope_radius", default=None,
                    help="generate an Airy PSF with this first-zero radius, px")
-    p.add_argument("--psf-side", type=int, default=None)
+    _config_option(p, "--psf-side", "microscope_side", default=None)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_blur)
 
     p = sub.add_parser("noise", help="add seeded Gaussian noise")
     p.add_argument("--input", required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--seed", type=int, default=1)
+    _config_option(p, "--sigma", "noise_sigma", required=True)
+    _config_option(p, "--seed", "noise_seed")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_noise)
 
     p = sub.add_parser("deconv", help="recover the sample from an intermediate image")
     p.add_argument("--intermediate", required=True)
     p.add_argument("--spot", required=True)
-    p.add_argument("--extension", type=int, required=True)
-    p.add_argument("--background", default="zero")
-    p.add_argument("--method", required=True, choices=["inverse", "wiener", "rl", "cgls"])
-    p.add_argument("--threshold", type=float, default=1e-9)
-    p.add_argument("--nsr", type=float, default=1e-4)
-    p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=500)
+    _config_option(p, "--extension", "extension", required=True)
+    _config_option(p, "--background", "background", default="zero")
+    _config_option(p, "--method", "method", required=True, choices=SOLVERS)
+    for flag, key in (("--threshold", "threshold"), ("--nsr", "nsr"),
+                      ("--iters", "iterations"), ("--tol", "tolerance"),
+                      ("--max-iters", "max_iterations")):
+        _config_option(p, flag, key)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_deconv)
 

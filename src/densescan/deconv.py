@@ -115,20 +115,6 @@ def dft2_inverse(spectrum) -> np.ndarray:
     return np.fft.ifft2(arr)
 
 
-def _embed_psf(spot: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    # Correlation with the spot equals circular convolution with the
-    # flipped spot; embed that kernel with its center at the origin.
-    # ScanOperator embeds it shifted by its extension, so the two have
-    # the same DFT magnitude.
-    k = spot.shape[0]
-    ctr = k // 2
-    if shape[0] < k or shape[1] < k:
-        raise ValueError(f"spot side {k} exceeds field extent {shape[1]}x{shape[0]}")
-    z = np.zeros(shape)
-    z[:k, :k] = spot[::-1, ::-1]
-    return np.roll(z, (-ctr, -ctr), axis=(0, 1))
-
-
 def _base_dims(intermediate: Image, extension: int) -> tuple[int, int]:
     if int(extension) != extension or extension < 0:
         raise ValueError(f"extension must be an integer >= 0, got {extension}")

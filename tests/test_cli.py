@@ -1,4 +1,7 @@
+import argparse
 import hashlib
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from densescan.cli import (
     ConfigError,
     PipelineConfig,
+    build_parser,
     build_target,
     config_text,
     inset_pair_points,
@@ -447,3 +451,152 @@ def test_cli_full_scale_workflow(tmp_path, capsys):
     out = capsys.readouterr().out
     metrics = dict(line.split(" = ") for line in out.strip().splitlines())
     assert float(metrics["mean_abs"]) < 1e-8
+
+
+# --- one source for the CLI flags and the config keys -------------------------------
+
+# Every option of every subcommand, except -h: option strings, default,
+# type, choices and whether it is required.
+CLI_SURFACE = {
+    "gen-sample": [
+        (["--pattern"], None, None, ["bar-grid", "point-pair", "siemens-star", "random-blobs"],
+         True),
+        (["--size"], None, int, None, True),
+        (["--pitch"], 0.1, float, None, False),
+        (["--period"], 10, int, None, False),
+        (["--duty"], 0.5, float, None, False),
+        (["--sep"], 20, int, None, False),
+        (["--spokes"], 12, int, None, False),
+        (["--count"], 5, int, None, False),
+        (["--radius"], 8.0, float, None, False),
+        (["--seed"], 42, int, None, False),
+        (["-o", "--output"], None, None, None, True),
+    ],
+    "gen-spot": [
+        (["--profile"], None, None, ["gaussian", "airy", "disk"], True),
+        (["--side"], None, int, None, True),
+        (["--sigma"], None, float, None, False),
+        (["--radius"], None, float, None, False),
+        (["--pitch"], 0.1, float, None, False),
+        (["-o", "--output"], None, None, None, True),
+    ],
+    "scan": [
+        (["--sample"], None, None, None, True),
+        (["--spot"], None, None, None, True),
+        (["--step"], 1, int, None, False),
+        (["--extension"], 0, int, None, False),
+        (["--background"], "zero", None, None, False),
+        (["--method"], "auto", None, ["auto", "fft", "direct"], False),
+        (["-o", "--output"], None, None, None, True),
+    ],
+    "blur": [
+        (["--sample"], None, None, None, True),
+        (["--psf"], None, None, None, False),
+        (["--airy-radius"], None, float, None, False),
+        (["--psf-side"], None, int, None, False),
+        (["-o", "--output"], None, None, None, True),
+    ],
+    "noise": [
+        (["--input"], None, None, None, True),
+        (["--sigma"], None, float, None, True),
+        (["--seed"], 1, int, None, False),
+        (["-o", "--output"], None, None, None, True),
+    ],
+    "deconv": [
+        (["--intermediate"], None, None, None, True),
+        (["--spot"], None, None, None, True),
+        (["--extension"], None, int, None, True),
+        (["--background"], "zero", None, None, False),
+        (["--method"], None, None, ["inverse", "wiener", "rl", "cgls"], True),
+        (["--threshold"], 1e-9, float, None, False),
+        (["--nsr"], 1e-4, float, None, False),
+        (["--iters"], 50, int, None, False),
+        (["--tol"], 1e-10, float, None, False),
+        (["--max-iters"], 500, int, None, False),
+        (["-o", "--output"], None, None, None, True),
+    ],
+    "compare": [
+        (["--a"], None, None, None, True),
+        (["--b"], None, None, None, True),
+    ],
+    "contrast": [
+        (["--input"], None, None, None, True),
+        (["--x1"], None, int, None, True),
+        (["--y1"], None, int, None, True),
+        (["--x2"], None, int, None, True),
+        (["--y2"], None, int, None, True),
+    ],
+    "pipeline": [
+        (["--config"], None, None, None, True),
+        (["-o", "--output"], None, None, None, False),
+    ],
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: [
+            (a.option_strings, a.default, a.type,
+             None if a.choices is None else list(a.choices), a.required)
+            for a in p._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, p in sub.choices.items()
+    }
+    assert surface == CLI_SURFACE
+
+
+def test_blur_needs_exactly_one_psf_source(tmp_path, capsys):
+    sample = tmp_path / "s.ddsf"
+    save_ddsf(new_image(8, 8, 1.0, 1.0), sample)
+    base = ["blur", "--sample", str(sample), "-o", str(tmp_path / "b.ddsf")]
+    assert main(base) == 2
+    assert main([*base, "--psf", str(sample), "--airy-radius", "2"]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not (tmp_path / "b.ddsf").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    "noise_sigma = -1\n",
+    "noise_sigma = nan\n",
+    "noise_sweep = nan\n",
+    "threshold = 2\n",
+    "method = rl\niterations = -3\n",
+    "spot_side = 10\n",
+], ids=lambda extra: extra.strip().replace(" = ", "=").replace("\n", ","))
+def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys, extra):
+    path = write_small_config(tmp_path, extra)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), "-o", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_config_block_is_the_default(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.cfg"
+    path.write_text(block)
+    assert load_config(path) == PipelineConfig()
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
+            if "=" in line.split("#", 1)[0]]
+    assert keys == [f.name for f in fields(PipelineConfig)]
+
+
+DEFAULT_CONFIG_TEXT = "\n".join([
+    "roi_width = 300", "roi_height = 300", "pitch = 0.1", "pattern = bar-grid",
+    "bar_period = 10", "bar_duty = 0.5", "pair_separation = 20", "star_spokes = 12",
+    "blob_count = 5", "blob_radius = 8.0", "blob_seed = 42",
+    "inset_pair_separation = 20", "inset_center_x = 75", "inset_center_y = 75",
+    "inset_clear_half = 30", "spot_profile = gaussian", "spot_side = 101",
+    "spot_sigma = 47.0", "spot_radius = 50.0", "step = 1", "extension = 100",
+    "background = zero", "scan_method = fft", "microscope_radius = 2000.0",
+    "microscope_side = 2001", "noise_sigma = 0.0", "noise_seed = 1", "noise_sweep = ",
+    "method = inverse", "threshold = 1e-09", "nsr = 0.0001", "iterations = 50",
+    "tolerance = 1e-10", "max_iterations = 500", "output_dir = out", "pgm_depth = 8",
+]) + "\n"
+
+
+def test_default_config_text_is_pinned():
+    assert config_text(PipelineConfig()) == DEFAULT_CONFIG_TEXT

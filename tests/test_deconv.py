@@ -155,10 +155,12 @@ def test_inverse_filter_noiseless_roundtrip(rng):
 
 def test_inverse_filter_threshold_precondition(rng):
     # the instance above really is well conditioned
-    from densescan.deconv import _embed_psf
+    from densescan.scanner import ScanOperator
 
     spot = make_spot(Gaussian(1.0), 9)
-    h = np.abs(dft2_forward(_embed_psf(spot.pixels, (80, 80))))
+    op = ScanOperator(spot.pixels, (64, 64), 8)
+    assert op.grid == (80, 80)
+    h = np.abs(op.transfer)
     assert h.min() > 1e-6 * h.max()
 
 
