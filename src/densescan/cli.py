@@ -227,7 +227,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
     noise seed).
     """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     expected = build_target(cfg)
     spot = build_spot(cfg)
@@ -250,6 +249,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
         "intermediate": intermediate,
         "recovered": result.recovered,
     }
+    out.mkdir(parents=True, exist_ok=True)
     for name, image in images.items():
         save_ddsf(image, out / f"{name}.ddsf")
         export_pgm(image, out / f"{name}.pgm", cfg.pgm_depth)
@@ -319,10 +319,11 @@ def _cmd_blur(args: argparse.Namespace) -> int:
     if args.psf is not None:
         psf = load_ddsf(args.psf)
     else:
-        side = args.microscope_side
+        radius, side = args.microscope_radius, args.microscope_side
         if side is None:
-            side = 2 * math.ceil(args.microscope_radius) + 1
-        psf = make_microscope_psf(args.microscope_radius, side, sample.pitch)
+            # make_microscope_psf reports a radius that is not finite and > 0
+            side = 2 * math.ceil(radius) + 1 if 0 < radius < math.inf else 1
+        psf = make_microscope_psf(radius, side, sample.pitch)
     save_ddsf(widefield_blur(sample, psf), args.output)
     return 0
 

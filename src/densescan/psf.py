@@ -5,7 +5,8 @@ the sample grid; it acts as the convolution kernel of the dense-scan
 forward model. Spots are sum-normalized so that scanning a constant
 sample returns that constant. The conventional-microscope PSF keeps its
 Airy rings (low-pass behavior), while the spot variants are compactly
-supported.
+supported. All profiles are radial, so each is evaluated on one octant
+of the odd square and mirrored into the rest.
 """
 
 from __future__ import annotations
@@ -153,10 +154,17 @@ def _airy_intensity(r: np.ndarray, first_zero_radius: float) -> np.ndarray:
     return np.where(v == 0.0, 1.0, np.square(2.0 * bessel_j1(safe) / safe))
 
 
-def _center_radii(side: int) -> np.ndarray:
+def _radial_image(profile, side: int) -> np.ndarray:
+    # profile(r) on the octant 0 <= dy <= dx <= c, mirrored; np.hypot ignores
+    # signs and operand order, so this matches a full-grid evaluation bitwise.
     c = side // 2
-    off = np.arange(side, dtype=np.float64) - c
-    return np.hypot(off[:, None], off[None, :])
+    dy, dx = np.triu_indices(c + 1)
+    full = np.empty((side, side))
+    quadrant = full[c:, c:]
+    quadrant[dy, dx] = quadrant[dx, dy] = profile(np.hypot(dy, dx))
+    full[c:, :c] = quadrant[:, :0:-1]
+    full[:c] = full[:c:-1]
+    return full
 
 
 def make_spot(profile: SpotProfile, side: int, pitch: float = 1.0) -> SpotImage:
@@ -170,23 +178,22 @@ def make_spot(profile: SpotProfile, side: int, pitch: float = 1.0) -> SpotImage:
     if side < 1 or side % 2 == 0:
         raise ValueError(f"spot side must be odd and >= 1, got {side}")
     half = (side - 1) // 2
-    r = _center_radii(side)
     if isinstance(profile, Disk):
         if math.floor(profile.radius) > half:
             raise ValueError(
                 f"disk radius {profile.radius} does not fit in side {side}"
             )
-        values = (r <= profile.radius).astype(np.float64)
+        values = _radial_image(lambda r: (r <= profile.radius).astype(np.float64), side)
     elif isinstance(profile, Gaussian):
-        values = np.exp(-np.square(r) / (2.0 * profile.sigma**2))
+        values = _radial_image(lambda r: np.exp(-np.square(r) / (2.0 * profile.sigma**2)), side)
     elif isinstance(profile, AiryCore):
         if profile.first_zero_radius > half:
             raise ValueError(
                 f"Airy first zero {profile.first_zero_radius} exceeds support "
                 f"radius {half} for side {side}"
             )
-        values = np.where(r > profile.first_zero_radius, 0.0,
-                          _airy_intensity(r, profile.first_zero_radius))
+        values = _radial_image(lambda r: np.where(
+            r > profile.first_zero_radius, 0.0, _airy_intensity(r, profile.first_zero_radius)), side)
     else:
         raise ValueError(f"unknown spot profile {profile!r}")
     total = values.sum()
@@ -200,11 +207,12 @@ def make_microscope_psf(first_zero_radius: float, side: int, pitch: float = 1.0)
 
     Unlike the AiryCore spot, no clamping is applied beyond the first
     zero, so the PSF carries its diffraction rings within the grid;
-    truncation to any odd side is allowed. Sum-normalized.
+    truncation to any odd side is allowed. Evaluated on one octant and
+    mirrored, then sum-normalized over the full side.
     """
     if side < 1 or side % 2 == 0:
         raise ValueError(f"psf side must be odd and >= 1, got {side}")
     if not (first_zero_radius > 0) or not math.isfinite(first_zero_radius):
         raise ValueError(f"first_zero_radius must be > 0, got {first_zero_radius}")
-    values = _airy_intensity(_center_radii(side), first_zero_radius)
+    values = _radial_image(lambda r: _airy_intensity(r, first_zero_radius), side)
     return Image(values / values.sum(), pitch)

@@ -16,7 +16,9 @@ product is exact. When ``extension >= spot_side // 2`` that grid is
 the dense intermediate's own, which is why the spectral solvers in
 :mod:`densescan.deconv` need that extension: only then is the
 intermediate's spectrum ``transfer`` times the sample's. The wide-field
-blur is the same map with the flipped PSF and no extension. The
+blur is the same map with the flipped PSF and no extension, cropped to
+the PSF taps that meet the sample (within N - 1 px of the center for an
+N-px sample), widened until the grid sides are 5-smooth FFT lengths. The
 ``direct`` path accumulates taps in a fixed order and is the
 bit-reproducible reference.
 
@@ -185,17 +187,32 @@ def simulate_scan(sample: Image, spot: SpotImage, config: ScanConfig,
     return Image(sub, sample.pitch * config.step)
 
 
+def _blur_halfwidth(shape: tuple[int, int]) -> int:
+    """Smallest h >= max(shape) - 1 giving the blur grid (H + 2h, W + 2h)
+    5-smooth sides, or max(shape) - 1 if no h < 2 * max(shape) does."""
+    n = max(shape)
+    for h in range(n - 1, 2 * n):
+        # m divides 30**m exactly when m has no prime factor above 5
+        if all(pow(30, m, m) == 0 for m in (shape[0] + 2 * h, shape[1] + 2 * h)):
+            return h
+    return n - 1
+
+
 def widefield_blur(sample: Image, microscope_psf: Image, method: str = "auto") -> Image:
     """Same-size linear convolution of the sample with a microscope PSF.
 
     Zero boundary handling (the periphery is preprocessed to zero).
-    The PSF must be square with an odd side.
+    The PSF must be square with an odd side. Only its central window is
+    read: taps over max(H, W) - 1 px from the center never meet the
+    sample, so dropping them changes no output (bitwise on ``direct``).
     """
     psf = microscope_psf.pixels
     if psf.shape[0] != psf.shape[1]:
         raise ValueError(f"psf must be square, got {psf.shape[1]}x{psf.shape[0]}")
     if psf.shape[0] % 2 == 0:
         raise ValueError(f"psf side must be odd, got {psf.shape[0]}")
+    cut = max(psf.shape[0] // 2 - _blur_halfwidth(sample.pixels.shape), 0)
+    psf = psf[cut : psf.shape[0] - cut, cut : psf.shape[0] - cut]
     # convolution = correlation with the flipped kernel
     return Image(_scan_field(sample.pixels, psf[::-1, ::-1], 0, 0.0, method), sample.pitch)
 

@@ -573,6 +573,29 @@ def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("inset_center_x = 2\n", "inset clear box"),
+    ("microscope_side = 4\n", "psf side"),
+], ids=["inset_center_x=2", "microscope_side=4"])
+def test_pipeline_failing_run_creates_no_directory(tmp_path, capsys, extra, message):
+    path = write_small_config(tmp_path, extra)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan", "-3"])
+def test_blur_rejects_bad_airy_radius(tmp_path, capsys, radius):
+    sample = tmp_path / "s.ddsf"
+    save_ddsf(new_image(8, 8, 1.0, 1.0), sample)
+    out = tmp_path / "b.ddsf"
+    assert main(["blur", "--sample", str(sample), "--airy-radius", radius,
+                 "-o", str(out)]) == 2
+    assert "first_zero_radius must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_config_block_is_the_default(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

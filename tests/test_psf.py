@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from densescan.grid import Image, load_ddsf, save_ddsf
 from densescan.psf import (
     AIRY_FIRST_ZERO,
+    _airy_intensity,
     AiryCore,
     Disk,
     Gaussian,
@@ -222,3 +223,41 @@ def test_microscope_psf_point_symmetry_and_normalization():
 def test_microscope_psf_rejects_even_side():
     with pytest.raises(ValueError):
         make_microscope_psf(10.0, 40)
+
+
+# --- octant evaluation ----------------------------------------------------------
+# make_spot and make_microscope_psf evaluate a profile on one octant and mirror
+# it; the reference evaluates every pixel of the square and normalizes over it.
+
+def full_grid_reference(profile, side):
+    off = np.arange(side, dtype=np.float64) - side // 2
+    values = profile(np.hypot(off[:, None], off[None, :]))
+    return values / values.sum()
+
+
+@pytest.mark.parametrize("radius, side", [
+    (2.0, 1), (2.0, 3), (20.0, 401),
+    (3.0, 61),  # v reaches 54 at the corners: the asymptotic J1 branch
+])
+def test_microscope_psf_equals_full_grid_evaluation(radius, side):
+    ref = full_grid_reference(lambda r: _airy_intensity(r, radius), side)
+    assert np.array_equal(make_microscope_psf(radius, side).pixels, ref)
+
+
+def radial_profile(profile):
+    if isinstance(profile, Gaussian):
+        return lambda r: np.exp(-np.square(r) / (2.0 * profile.sigma**2))
+    if isinstance(profile, Disk):
+        return lambda r: (r <= profile.radius).astype(np.float64)
+    radius = profile.first_zero_radius
+    return lambda r: np.where(r > radius, 0.0, _airy_intensity(r, radius))
+
+
+@pytest.mark.parametrize("profile, side", [
+    (Gaussian(0.7), 1), (Gaussian(2.5), 41), (Gaussian(47.0), 101),
+    (Disk(0.5), 1), (Disk(1.0), 3), (Disk(12.3), 41),
+    (AiryCore(1.0), 3), (AiryCore(2.0), 41), (AiryCore(20.0), 41),
+], ids=repr)
+def test_make_spot_equals_full_grid_evaluation(profile, side):
+    ref = full_grid_reference(radial_profile(profile), side)
+    assert np.array_equal(make_spot(profile, side).pixels, ref)

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densescan.grid import Image, new_image
-from densescan.psf import Disk, Gaussian, make_spot
+from densescan.psf import Disk, Gaussian, make_microscope_psf, make_spot
 from densescan.scanner import (
     ConstantBackground,
     ScanConfig,
     ZeroBackground,
+    _blur_halfwidth,
+    _scan_field,
     add_noise,
     scan_dims,
     simulate_scan,
@@ -219,6 +221,24 @@ def test_widefield_heavy_blur_variance_reduction():
     v_target = target.pixels[band:-band, band:-band].var()
     v_blurred = blurred.pixels[band:-band, band:-band].var()
     assert v_target / v_blurred >= 100.0
+
+
+@pytest.mark.parametrize("shape, side", [
+    ((20, 20), 61),
+    ((40, 64), 161),  # grid 192 x 216
+    ((30, 31), 81),  # no 5-smooth pair of sides: the 2N - 1 window
+])
+def test_widefield_crop_equals_uncropped_blur(shape, side):
+    rng = np.random.default_rng(11)
+    sample = Image(rng.random(shape), 1.0)
+    psf = make_microscope_psf(3.0, side)
+    assert _blur_halfwidth(shape) < side // 2  # the PSF is cropped
+    kernel = psf.pixels[::-1, ::-1]
+    direct = widefield_blur(sample, psf, "direct").pixels
+    assert np.array_equal(direct, _scan_field(sample.pixels, kernel, 0, 0.0, "direct"))
+    fft = widefield_blur(sample, psf, "fft").pixels
+    ref = _scan_field(sample.pixels, kernel, 0, 0.0, "fft")
+    assert np.max(np.abs(fft - ref)) <= 1e-15
 
 
 def test_widefield_rejects_bad_psf():
