@@ -6,7 +6,8 @@ forward model. Spots are sum-normalized so that scanning a constant
 sample returns that constant. The conventional-microscope PSF keeps its
 Airy rings (low-pass behavior), while the spot variants are compactly
 supported. All profiles are radial, so each is evaluated on one octant
-of the odd square and mirrored into the rest.
+of the odd square and mirrored into the rest. The Airy profiles' J1 series
+stops at 16 of 40 terms when no argument exceeds 3.5, changing no bit.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ AIRY_FIRST_ZERO = 3.8317059702
 
 _SERIES_CUTOFF = 12.0
 _SERIES_TERMS = 40
+_SHORT_SERIES_CUTOFF = 3.5
+_SHORT_SERIES_TERMS = 16
 _ASYMPTOTIC_TERMS = 17
 
 
@@ -96,11 +99,13 @@ class SpotImage:
 
 def _j1_series(x: np.ndarray) -> np.ndarray:
     # J1(x) = sum_m (-1)^m (x/2)^(2m+1) / (m! (m+1)!), |x| <= 12
-    q = np.square(x / 2.0)
+    terms = _SHORT_SERIES_TERMS if np.abs(x).max() <= _SHORT_SERIES_CUTOFF else _SERIES_TERMS
     term = x / 2.0
+    neg_q = -np.square(term)
     total = term.copy()
-    for m in range(1, _SERIES_TERMS + 1):
-        term = term * (-q) / (m * (m + 1))
+    for m in range(1, terms + 1):
+        term *= neg_q
+        term /= m * (m + 1)
         total += term
     return total
 
@@ -131,6 +136,9 @@ def bessel_j1(x):
     """Bessel function of the first kind, order 1.
 
     Power series below |x| = 12, Hankel asymptotic expansion above.
+    The series runs 40 terms, or 16 when no series argument exceeds 3.5:
+    below J1's first zero (3.83) the sum is >= 0.039 |x| and term 17 is
+    < 5e-23 |x|, far under half an ulp, so the bits are the same.
     Absolute accuracy is better than 1e-10 for |x| <= 30 and keeps
     improving beyond. Accepts a scalar or an ndarray.
     """
@@ -157,11 +165,12 @@ def _airy_intensity(r: np.ndarray, first_zero_radius: float) -> np.ndarray:
 def _radial_image(profile, side: int) -> np.ndarray:
     # profile(r) on the octant 0 <= dy <= dx <= c, mirrored; np.hypot ignores
     # signs and operand order, so this matches a full-grid evaluation bitwise.
+    # A boolean mask visits the octant in np.nonzero order, also on the transpose.
     c = side // 2
-    dy, dx = np.triu_indices(c + 1)
+    octant = ~np.tri(c + 1, k=-1, dtype=bool)
     full = np.empty((side, side))
     quadrant = full[c:, c:]
-    quadrant[dy, dx] = quadrant[dx, dy] = profile(np.hypot(dy, dx))
+    quadrant[octant] = quadrant.T[octant] = profile(np.hypot(*np.nonzero(octant)))
     full[c:, :c] = quadrant[:, :0:-1]
     full[:c] = full[:c:-1]
     return full
@@ -199,7 +208,8 @@ def make_spot(profile: SpotProfile, side: int, pitch: float = 1.0) -> SpotImage:
     total = values.sum()
     if not total > 0:
         raise ValueError("spot profile has no support on the grid")
-    return SpotImage(Image(values / total, pitch))
+    values /= total
+    return SpotImage(Image(values, pitch))
 
 
 def make_microscope_psf(first_zero_radius: float, side: int, pitch: float = 1.0) -> Image:
@@ -215,4 +225,5 @@ def make_microscope_psf(first_zero_radius: float, side: int, pitch: float = 1.0)
     if not (first_zero_radius > 0) or not math.isfinite(first_zero_radius):
         raise ValueError(f"first_zero_radius must be > 0, got {first_zero_radius}")
     values = _radial_image(lambda r: _airy_intensity(r, first_zero_radius), side)
-    return Image(values / values.sum(), pitch)
+    values /= values.sum()
+    return Image(values, pitch)

@@ -7,6 +7,7 @@ from densescan.grid import Image, load_ddsf, save_ddsf
 from densescan.psf import (
     AIRY_FIRST_ZERO,
     _airy_intensity,
+    _j1_asymptotic,
     AiryCore,
     Disk,
     Gaussian,
@@ -96,6 +97,58 @@ def test_j1_accepts_scalars_and_arrays():
     assert isinstance(bessel_j1(1.0), float)
     out = bessel_j1(np.array([[1.0, 2.0]]))
     assert out.shape == (1, 2)
+
+
+# bessel_j1 cuts its power series to 16 terms when every series argument is
+# within 3.5; the reference is the full 40-term series, written out here.
+
+def j1_series_40(x):
+    q = np.square(x / 2.0)
+    term = x / 2.0
+    total = term.copy()
+    for m in range(1, 41):
+        term = term * (-q) / (m * (m + 1))
+        total += term
+    return total
+
+
+def default_psf_arguments():
+    # the J1 arguments of the default 2001-px, radius-2000 microscope PSF
+    dy, dx = np.triu_indices(1001)
+    v = AIRY_FIRST_ZERO * np.hypot(dy, dx) / 2000.0
+    return v[v != 0.0]
+
+
+@pytest.mark.parametrize("xs", [
+    np.linspace(-3.5, 3.5, 1_000_001),
+    np.concatenate([np.geomspace(1e-300, 3.5, 20001), -np.geomspace(1e-300, 3.5, 20001)]),
+    default_psf_arguments(),
+], ids=["linspace", "geomspace", "default-psf"])
+def test_j1_short_series_equals_full_series_bitwise(xs):
+    assert np.abs(xs).max() <= 3.5
+    assert np.array_equal(bessel_j1(xs), j1_series_40(xs))
+
+
+def test_j1_edge_inputs():
+    empty = bessel_j1(np.array([]))
+    assert empty.shape == (0,)
+    assert isinstance(bessel_j1(np.array(2.0)), float)
+    assert bessel_j1(2.0) == j1_series_40(np.array([2.0]))[0]
+    assert np.isnan(bessel_j1(float("nan")))
+    assert np.isnan(bessel_j1(np.array([np.nan]))).all()
+    mixed = bessel_j1(np.array([np.nan, 1.0, -np.nan]))
+    assert np.isnan(mixed[[0, 2]]).all()
+    assert mixed[1] == j1_series_40(np.array([1.0]))[0]
+
+
+def test_j1_mixed_span_uses_full_series_per_element():
+    # series arguments beyond 3.5 need all 40 terms; beyond 12 the Hankel branch
+    xs = np.linspace(-14.0, 14.0, 4001)
+    assert np.abs(xs).min() < 3.5 and 3.5 < np.abs(xs[np.abs(xs) <= 12.0]).max()
+    ref = np.array([
+        (j1_series_40 if abs(x) <= 12.0 else _j1_asymptotic)(np.array([x]))[0] for x in xs
+    ])
+    assert np.array_equal(bessel_j1(xs), ref)
 
 
 # --- make_spot ---------------------------------------------------------------

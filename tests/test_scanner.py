@@ -8,6 +8,7 @@ from densescan.psf import Disk, Gaussian, make_microscope_psf, make_spot
 from densescan.scanner import (
     ConstantBackground,
     ScanConfig,
+    ScanOperator,
     ZeroBackground,
     _blur_halfwidth,
     _scan_field,
@@ -184,6 +185,34 @@ def test_usual_equals_subsampled_dense_bit_exact(rng, method, step):
     off = (step - 1) // 2
     want = dense.pixels[off::step, off::step][: coarse.height, : coarse.width]
     assert np.array_equal(coarse.pixels, want)
+
+
+# --- scan operator inverse -----------------------------------------------------
+# forward and adjoint transform back only the rows they keep; the reference
+# is the full irfft2 of the same spectrum, then the crop.
+
+@pytest.mark.parametrize("shape, side, ext", [
+    ((24, 24), 9, 4),  # square; the adjoint keeps 24 of 32 rows
+    ((40, 64), 15, 10),  # forward pins a 3-px border to zero
+    ((30, 30), 21, 4),  # extension < spot_side // 2: forward keeps 38 of 50 rows
+])
+def test_operator_inverse_equals_full_irfft2_bitwise(shape, side, ext):
+    rng = np.random.default_rng(5)
+    op = ScanOperator(random_spot(rng, side).pixels, shape, ext)
+    rows, cols = shape[0] + 2 * ext, shape[1] + 2 * ext
+    x = rng.random(shape)
+    spec = np.fft.rfft2(x, op.grid)
+    spec *= op.transfer
+    ref = np.fft.irfft2(spec, op.grid)[:rows, :cols]
+    b = max(ext - side // 2, 0)
+    inner = (slice(b, rows - b), slice(b, cols - b))
+    assert np.array_equal(op.forward(x)[inner], ref[inner])
+    y = rng.random((rows, cols))
+    spec = np.conj(np.fft.rfft2(y, op.grid))
+    spec *= op.transfer
+    np.conjugate(spec, out=spec)
+    ref = np.fft.irfft2(spec, op.grid)[: shape[0], : shape[1]]
+    assert np.array_equal(op.adjoint(y), ref)
 
 
 # --- widefield blur ------------------------------------------------------------
