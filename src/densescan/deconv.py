@@ -5,7 +5,7 @@ zero-background scan :class:`~densescan.scanner.ScanOperator` (the
 intermediate image is the correlation of the zero-extended sample with
 the spot):
 
-* InverseFilter  - spectral division by the operator's ``transfer``,
+* InverseFilter  - spectral division by the spot's transfer (below),
   with hard thresholding of small spot-spectrum magnitudes;
 * Wiener         - Tikhonov-style damped spectral division;
 * RichardsonLucy - multiplicative maximum-likelihood iteration using the
@@ -13,12 +13,16 @@ the spot):
 * LeastSquaresCG - conjugate gradients on the normal equations, applied
   matrix-free through the same operator.
 
-The spectral pair divides the intermediate's rFFT by ``transfer``. That
-is exact only when the operator's grid is the intermediate's own, i.e.
-extension >= spot_side // 2; smaller extensions crop the correlation and
-are left to the iterative solvers. Constant known backgrounds are
-reduced to the zero-background case by subtracting their forward
-response.
+The spectral pair divides the intermediate's rFFT by the spot's transfer
+on the intermediate's own grid, N + 2 * extension per axis: only there
+is the intermediate's spectrum exactly that transfer times the sample's,
+and only when extension >= spot_side // 2; smaller extensions crop the
+correlation and are left to the iterative solvers. A grid rounded up to
+a fast FFT length would also move the spectral floor min|H|/max|H| that
+the default threshold is set against. RL and CGLS apply the operator on
+its own minimal 5-smooth grid, built once per solve. Constant known
+backgrounds are reduced to the zero-background case by subtracting
+their forward response.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .grid import Image, Rect
 from .psf import SpotImage
-from .scanner import Background, ConstantBackground, ScanOperator, ZeroBackground
+from .scanner import Background, ConstantBackground, ScanOperator, ZeroBackground, _transfer
 
 _RL_DIVISION_GUARD = 1e-12
 
@@ -144,6 +148,11 @@ def _operator(y: np.ndarray, spot: np.ndarray, extension: int) -> ScanOperator:
     return ScanOperator(spot, shape, extension)
 
 
+def _spectral_transfer(spot: np.ndarray, shape: tuple[int, int], extension: int) -> np.ndarray:
+    """The transfer the spectral pair divides by; see the module docstring."""
+    return _transfer(spot, shape, extension - spot.shape[0] // 2)
+
+
 def adjoint_apply(image: Image, spot: SpotImage, roi: Rect, extension: int) -> Image:
     """Apply the adjoint of the step-1 zero-background scan operator.
 
@@ -158,8 +167,8 @@ def adjoint_apply(image: Image, spot: SpotImage, roi: Rect, extension: int) -> I
 
 
 def _richardson_lucy(y: np.ndarray, spot: np.ndarray, extension: int,
-                     iterations: int, on_iterate=None) -> np.ndarray:
-    op = _operator(y, spot, extension)
+                     iterations: int, on_iterate=None, op=None) -> np.ndarray:
+    op = op or _operator(y, spot, extension)
     start = max(float(y.mean()), np.finfo(np.float64).tiny)
     x = np.full(op.shape, start)
     for _ in range(iterations):
@@ -174,13 +183,13 @@ def _richardson_lucy(y: np.ndarray, spot: np.ndarray, extension: int,
 
 
 def _cgls(y: np.ndarray, spot: np.ndarray, extension: int, tolerance: float,
-          max_iterations: int) -> tuple[np.ndarray, int, list[float]]:
+          max_iterations: int, op=None) -> tuple[np.ndarray, int, list[float]]:
     """CGLS on the normal equations; returns (x, iterations, residual history).
 
     The recorded residual is ||y - A x|| / ||y||, which CGLS decreases
     monotonically.
     """
-    op = _operator(y, spot, extension)
+    op = op or _operator(y, spot, extension)
     x = np.zeros(op.shape)
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
@@ -232,25 +241,24 @@ def recover(intermediate: Image, spot: SpotImage, roi: Rect, extension: int,
     base_w, base_h = _base_dims(intermediate, extension)
     extension = int(extension)
     _check_roi(roi, base_w, base_h)
-    y = intermediate.pixels
-    op = _operator(y, spot.pixels, extension)
-    if isinstance(background, ConstantBackground):
-        if background.level != 0.0:
-            y = y - op.forward(np.zeros(op.shape), background.level)
-    elif not isinstance(background, ZeroBackground):
+    if not isinstance(background, (ZeroBackground, ConstantBackground)):
         raise ValueError(f"unknown background model {background!r}")
+    y = intermediate.pixels
+    level = background.level if isinstance(background, ConstantBackground) else 0.0
+    spectral = isinstance(request, (InverseFilter, Wiener))
+    op = None if spectral and not level else _operator(y, spot.pixels, extension)
+    if level:
+        y = y - op.forward(np.zeros(op.shape), level)
 
     pitch = intermediate.pitch
-    if isinstance(request, (InverseFilter, Wiener)):
+    if spectral:
         ctr = spot.pixels.shape[0] // 2
         if extension < ctr:
             raise ValueError(
                 f"spectral methods need extension >= {ctr} (half the spot side), "
                 f"got {extension}"
             )
-        # The operator's grid is the intermediate's: its spectrum is
-        # transfer times the spectrum of the sample at the grid origin.
-        h = op.transfer
+        h = _spectral_transfer(spot.pixels, y.shape, extension)
         yspec = np.fft.rfft2(y)
         if isinstance(request, InverseFilter):
             mag = np.abs(h)
@@ -260,15 +268,15 @@ def recover(intermediate: Image, spot: SpotImage, roi: Rect, extension: int,
             denom = np.square(np.abs(h)) + request.nsr
             safe = denom > 0.0
             xspec = np.where(safe, yspec * np.conj(h) / np.where(safe, denom, 1.0), 0.0)
-        field = np.fft.irfft2(xspec, op.grid)
+        field = np.fft.irfft2(xspec, y.shape)
         return RecoveryResult(Image(_crop(field, roi), pitch), 0, 0.0)
     if isinstance(request, RichardsonLucy):
-        x = _richardson_lucy(y, spot.pixels, extension, request.iterations)
+        x = _richardson_lucy(y, spot.pixels, extension, request.iterations, op=op)
         res = _relative_residual(x, y, op)
         return RecoveryResult(Image(_crop(x, roi), pitch), request.iterations, res)
     if isinstance(request, LeastSquaresCG):
-        x, iters, history = _cgls(y, spot.pixels, extension,
-                                  request.tolerance, request.max_iterations)
+        x, iters, history = _cgls(y, spot.pixels, extension, request.tolerance,
+                                  request.max_iterations, op)
         res = history[-1] if history else _relative_residual(x, y, op)
         return RecoveryResult(Image(_crop(x, roi), pitch), iters, res)
     raise ValueError(f"unknown deconvolution request {request!r}")

@@ -8,21 +8,20 @@ the extended sample with the spot; coarser steps subsample that dense
 field, so usual-scan outputs are bit-identical to subsampled dense-scan
 outputs by construction.
 
-That correlation is one linear map, :class:`ScanOperator`. It
-multiplies spectra by ``transfer``, the flipped spot's rFFT on a
-circular grid padded by ``max(extension, spot_side // 2)`` per side:
-wide enough to hold the whole linear correlation, so the circular
-product is exact. When ``extension >= spot_side // 2`` that grid is
-the dense intermediate's own, which is why the spectral solvers in
-:mod:`densescan.deconv` need that extension: only then is the
-intermediate's spectrum ``transfer`` times the sample's. Its inverse
-FFT skips the grid rows that the output crops away (600 of 900 in the
-default blur), bitwise equal to ``irfft2`` and crop. The wide-field
-blur is the same map with the flipped PSF and no extension, cropped to
-the PSF taps that meet the sample (within N - 1 px of the center for an
-N-px sample), widened until the grid sides are 5-smooth FFT lengths. The
-``direct`` path accumulates taps in a fixed order and is the
-bit-reproducible reference.
+That correlation is one linear map, :class:`ScanOperator`, used by the
+fft scan, the iterative solvers and the wide-field blur. Only the
+N + spot_side - 1 sites per axis whose footprint meets an N-px sample
+can be nonzero, so it computes the linear correlation on a circular grid
+of the next 5-smooth (fast FFT) length >= N + spot_side - 1 per axis,
+where the circular product is exact, and writes it into a zero lattice
+(or crops it, when extension < spot_side // 2): the zero border is exact.
+Its inverse FFT transforms back only the rows it keeps (300 of 900 in
+the default blur), bitwise equal to ``irfft2`` and crop. The spectral
+solvers in :mod:`densescan.deconv` divide on the intermediate's exact
+grid instead; see there. The wide-field blur is the same map with the
+flipped PSF and no extension, cropped to the 2(N - 1) + 1 taps that can
+meet an N-px sample. The ``direct`` path accumulates taps in a fixed
+order at only the sites it keeps and is the bit-reproducible reference.
 
 Lattice convention: sites per axis are c_i = -extension + (step-1)//2 +
 i*step for i in range(floor((N + 2*extension)/step)); footprints are
@@ -79,17 +78,35 @@ class ScanConfig:
         object.__setattr__(self, "extension", int(self.extension))
 
 
-def _corr_valid_direct(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # Accumulates kernel taps in row-major order; per-pixel summation
-    # order is therefore fixed and results are bit-reproducible.
-    kh, kw = kernel.shape
-    oh, ow = padded.shape[0] - kh + 1, padded.shape[1] - kw + 1
+def _corr_valid_direct(padded: np.ndarray, kernel: np.ndarray, step: int = 1) -> np.ndarray:
+    # Accumulates kernel taps in row-major order at every step-th site
+    # (from (step - 1) // 2); each site sums the same taps in the same
+    # order at any step, so results are bit-reproducible and a coarse
+    # field is bitwise the subsampled dense one.
+    off = (step - 1) // 2
+    oh, ow = ((n - k + 1) // step for n, k in zip(padded.shape, kernel.shape))
     out = np.zeros((oh, ow))
-    for uy in range(kh):
+    for uy in range(kernel.shape[0]):
         row = kernel[uy]
-        for ux in range(kw):
-            out += row[ux] * padded[uy : uy + oh, ux : ux + ow]
+        for ux in range(kernel.shape[1]):
+            out += row[ux] * padded[uy + off :: step, ux + off :: step][:oh, :ow]
     return out
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a fast FFT length."""
+    # m divides 30**m exactly when m has no prime factor above 5
+    while pow(30, n, n):
+        n += 1
+    return n
+
+
+def _transfer(spot: np.ndarray, grid: tuple[int, int], offset: int) -> np.ndarray:
+    """rFFT on ``grid`` of the flipped spot, first tap at ``offset`` (wrapping)."""
+    rows, cols = ((np.arange(spot.shape[0]) + offset) % n for n in grid)
+    kernel = np.zeros(grid)
+    kernel[np.ix_(rows, cols)] = spot[::-1, ::-1]
+    return np.fft.rfft2(kernel)
 
 
 class ScanOperator:
@@ -99,19 +116,19 @@ class ScanOperator:
 
     def __init__(self, spot: np.ndarray, shape: tuple[int, int], extension: int) -> None:
         ctr = spot.shape[0] // 2
-        pad = max(extension, ctr)
+        pad = min(extension, ctr)
         self.shape = shape
         self.extension = extension
-        self.grid = (shape[0] + 2 * pad, shape[1] + 2 * pad)
-        self._band = extension - ctr
+        self.grid = tuple(_fast_len(n + 2 * ctr) for n in shape)
+        # Only the lattice window of the sites within ctr px of the sample
+        # is nonzero; it starts at lattice site extension - pad.
+        start = extension - pad
+        self._window = (shape[0] + 2 * pad, shape[1] + 2 * pad)
+        self._sites = tuple(slice(start, start + n) for n in self._window)
         self._spot_sum = float(spot.sum())
-        # Fields sit at the grid origin, so the flipped spot's first tap
-        # goes to extension - ctr (wrapping): sample pixel 0 then lands
-        # on lattice site `extension` with no shift of input or output.
-        rows, cols = ((np.arange(spot.shape[0]) + self._band) % n for n in self.grid)
-        kernel = np.zeros(self.grid)
-        kernel[np.ix_(rows, cols)] = spot[::-1, ::-1]
-        self.transfer = np.fft.rfft2(kernel)
+        # Fields sit at the grid origin; the kernel's offset puts window
+        # site 0 at grid index 0, so no call shifts an input or output.
+        self.transfer = _transfer(spot, self.grid, pad - ctr)
 
     def forward(self, x: np.ndarray, level: float = 0.0) -> np.ndarray:
         """Scan field of ``x`` with the sample extended by ``level``."""
@@ -120,22 +137,15 @@ class ScanOperator:
         spec = np.fft.rfft2(x - level if level else x, self.grid)
         spec *= self.transfer
         ext = self.extension
-        out = self._inverse(spec, self.shape[0] + 2 * ext, self.shape[1] + 2 * ext)
-        band = self._band
-        if band > 0:
-            # Sites whose footprint misses the sample are structurally
-            # zero; pin them to exact 0.0 so the support contract is bitwise.
-            out[:band, :] = 0.0
-            out[-band:, :] = 0.0
-            out[:, :band] = 0.0
-            out[:, -band:] = 0.0
+        out = np.zeros((self.shape[0] + 2 * ext, self.shape[1] + 2 * ext))
+        out[self._sites] = self._inverse(spec, *self._window)
         if level:
             out += level * self._spot_sum
         return out
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Transpose of the zero-background :meth:`forward`."""
-        spec = np.fft.rfft2(y, self.grid)
+        spec = np.fft.rfft2(y[self._sites], self.grid)
         # conj(conj(Y) * H) == Y * conj(H), with no conj(H) temporary
         np.conjugate(spec, out=spec)
         spec *= self.transfer
@@ -149,16 +159,19 @@ class ScanOperator:
 
 
 def _scan_field(sample: np.ndarray, kernel: np.ndarray, extension: int,
-                level: float, method: str) -> np.ndarray:
-    """Step-1 correlation of the level-extended sample with ``kernel``."""
+                level: float, method: str, step: int = 1) -> np.ndarray:
+    """Correlation of the level-extended sample with ``kernel`` at every
+    ``step``-th lattice site."""
     out_h, out_w = sample.shape[0] + 2 * extension, sample.shape[1] + 2 * extension
     if method == "auto":
         method = "direct" if kernel.size * out_h * out_w < 2_000_000 else "fft"
     if method == "fft":
-        return ScanOperator(kernel, sample.shape, extension).forward(sample, level)
+        off = (step - 1) // 2
+        dense = ScanOperator(kernel, sample.shape, extension).forward(sample, level)
+        return dense[off::step, off::step][: out_h // step, : out_w // step]
     if method == "direct":
         pad = extension + kernel.shape[0] // 2
-        return _corr_valid_direct(np.pad(sample, pad, constant_values=level), kernel)
+        return _corr_valid_direct(np.pad(sample, pad, constant_values=level), kernel, step)
     raise ValueError(f"unknown method {method!r}, expected fft, direct or auto")
 
 
@@ -188,21 +201,8 @@ def simulate_scan(sample: Image, spot: SpotImage, config: ScanConfig,
             f"{sample.width + 2 * config.extension}x{sample.height + 2 * config.extension}"
         )
     bg = 0.0 if isinstance(config.background, ZeroBackground) else config.background.level
-    dense = _scan_field(sample.pixels, spot.pixels, config.extension, bg, method)
-    off = (config.step - 1) // 2
-    sub = dense[off :: config.step, off :: config.step][:out_h, :out_w]
-    return Image(sub, sample.pitch * config.step)
-
-
-def _blur_halfwidth(shape: tuple[int, int]) -> int:
-    """Smallest h >= max(shape) - 1 giving the blur grid (H + 2h, W + 2h)
-    5-smooth sides, or max(shape) - 1 if no h < 2 * max(shape) does."""
-    n = max(shape)
-    for h in range(n - 1, 2 * n):
-        # m divides 30**m exactly when m has no prime factor above 5
-        if all(pow(30, m, m) == 0 for m in (shape[0] + 2 * h, shape[1] + 2 * h)):
-            return h
-    return n - 1
+    field = _scan_field(sample.pixels, spot.pixels, config.extension, bg, method, config.step)
+    return Image(field, sample.pitch * config.step)
 
 
 def widefield_blur(sample: Image, microscope_psf: Image, method: str = "auto") -> Image:
@@ -218,7 +218,7 @@ def widefield_blur(sample: Image, microscope_psf: Image, method: str = "auto") -
         raise ValueError(f"psf must be square, got {psf.shape[1]}x{psf.shape[0]}")
     if psf.shape[0] % 2 == 0:
         raise ValueError(f"psf side must be odd, got {psf.shape[0]}")
-    cut = max(psf.shape[0] // 2 - _blur_halfwidth(sample.pixels.shape), 0)
+    cut = max(psf.shape[0] // 2 - (max(sample.pixels.shape) - 1), 0)
     psf = psf[cut : psf.shape[0] - cut, cut : psf.shape[0] - cut]
     # convolution = correlation with the flipped kernel
     return Image(_scan_field(sample.pixels, psf[::-1, ::-1], 0, 0.0, method), sample.pitch)

@@ -8,6 +8,7 @@ from densescan.deconv import (
     Wiener,
     _cgls,
     _richardson_lucy,
+    _spectral_transfer,
     adjoint_apply,
     dft2_forward,
     dft2_inverse,
@@ -154,28 +155,25 @@ def test_inverse_filter_noiseless_roundtrip(rng):
 
 
 def test_inverse_filter_threshold_precondition(rng):
-    # the instance above really is well conditioned
-    from densescan.scanner import ScanOperator
-
+    # the instance above really is well conditioned: the transfer that
+    # recover divides by, on the 80^2 intermediate grid
     spot = make_spot(Gaussian(1.0), 9)
-    op = ScanOperator(spot.pixels, (64, 64), 8)
-    assert op.grid == (80, 80)
-    h = np.abs(op.transfer)
+    h = np.abs(_spectral_transfer(spot.pixels, (80, 80), 8))
+    assert h.shape == (80, 41)
     assert h.min() > 1e-6 * h.max()
 
 
 def test_default_spectral_floor_above_threshold():
-    # The default spot is chosen so that every component of the scan
-    # operator's transfer on the exact intermediate grid survives the
-    # default inverse threshold; a grid rounded up (e.g. to a fast FFT
-    # length) would put the floor below it.
+    # The default spot is chosen so that every component of the transfer
+    # the spectral pair divides by, on the exact 500^2 intermediate grid,
+    # survives the default inverse threshold; a grid rounded up (e.g. to a
+    # fast FFT length) would put the floor below it.
     from densescan.cli import PipelineConfig, build_spot
-    from densescan.scanner import ScanOperator
 
     cfg = PipelineConfig()
-    op = ScanOperator(build_spot(cfg).pixels, (cfg.roi_height, cfg.roi_width), cfg.extension)
-    assert op.grid == (cfg.roi_height + 2 * cfg.extension, cfg.roi_width + 2 * cfg.extension)
-    mag = np.abs(op.transfer)
+    grid = (cfg.roi_height + 2 * cfg.extension, cfg.roi_width + 2 * cfg.extension)
+    mag = np.abs(_spectral_transfer(build_spot(cfg).pixels, grid, cfg.extension))
+    assert mag.shape == (500, 251)
     assert mag.min() / mag.max() > cfg.threshold
 
 

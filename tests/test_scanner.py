@@ -10,7 +10,7 @@ from densescan.scanner import (
     ScanConfig,
     ScanOperator,
     ZeroBackground,
-    _blur_halfwidth,
+    _corr_valid_direct,
     _scan_field,
     add_noise,
     scan_dims,
@@ -175,44 +175,108 @@ def test_constant_conservation():
 
 
 @pytest.mark.parametrize("method", ["direct", "fft"])
-@pytest.mark.parametrize("step", [2, 3, 5])
+@pytest.mark.parametrize("step", [2, 3, 5, 7, 12])
 def test_usual_equals_subsampled_dense_bit_exact(rng, method, step):
-    sample = Image(rng.random((21, 18)), 1.0)
+    # spot side 5: steps below, equal to and above it; two non-square samples
     spot = as_spot(random_spot(rng, 5))
     ext = 4
-    dense = simulate_scan(sample, spot, ScanConfig(1, ext), method=method)
-    coarse = simulate_scan(sample, spot, ScanConfig(step, ext), method=method)
-    off = (step - 1) // 2
-    want = dense.pixels[off::step, off::step][: coarse.height, : coarse.width]
-    assert np.array_equal(coarse.pixels, want)
+    for shape in ((21, 18), (13, 31)):
+        sample = Image(rng.random(shape), 1.0)
+        dense = simulate_scan(sample, spot, ScanConfig(1, ext), method=method)
+        coarse = simulate_scan(sample, spot, ScanConfig(step, ext), method=method)
+        assert coarse.pixels.shape == ((shape[0] + 2 * ext) // step, (shape[1] + 2 * ext) // step)
+        off = (step - 1) // 2
+        want = dense.pixels[off::step, off::step][: coarse.height, : coarse.width]
+        assert np.array_equal(coarse.pixels, want)
 
 
-# --- scan operator inverse -----------------------------------------------------
-# forward and adjoint transform back only the rows they keep; the reference
-# is the full irfft2 of the same spectrum, then the crop.
+# --- scan operator -------------------------------------------------------------
+# Forward and adjoint run on the next 5-smooth length >= N + spot_side - 1
+# per axis and touch only the lattice window of sites within spot_side // 2
+# px of the sample (N + 2 * min(extension, spot_side // 2) per axis, from
+# site extension - min(extension, spot_side // 2)); the rest is exact zero.
+
+def _window(shape, side, ext):
+    pad = min(ext, side // 2)
+    return tuple(slice(ext - pad, ext + pad + n) for n in shape)
+
 
 @pytest.mark.parametrize("shape, side, ext", [
     ((24, 24), 9, 4),  # square; the adjoint keeps 24 of 32 rows
-    ((40, 64), 15, 10),  # forward pins a 3-px border to zero
+    ((40, 64), 15, 10),  # grid 54 x 80; a 3-px border outside the window
     ((30, 30), 21, 4),  # extension < spot_side // 2: forward keeps 38 of 50 rows
 ])
 def test_operator_inverse_equals_full_irfft2_bitwise(shape, side, ext):
+    # the pruned inverse against the full irfft2 of the same spectrum, then the crop
     rng = np.random.default_rng(5)
     op = ScanOperator(random_spot(rng, side).pixels, shape, ext)
     rows, cols = shape[0] + 2 * ext, shape[1] + 2 * ext
+    window = _window(shape, side, ext)
     x = rng.random(shape)
     spec = np.fft.rfft2(x, op.grid)
     spec *= op.transfer
-    ref = np.fft.irfft2(spec, op.grid)[:rows, :cols]
-    b = max(ext - side // 2, 0)
-    inner = (slice(b, rows - b), slice(b, cols - b))
-    assert np.array_equal(op.forward(x)[inner], ref[inner])
+    ref = np.fft.irfft2(spec, op.grid)[: window[0].stop - window[0].start,
+                                       : window[1].stop - window[1].start]
+    out = op.forward(x)
+    assert np.array_equal(out[window], ref)
+    outside = np.ones(out.shape, bool)
+    outside[window] = False
+    assert np.all(out[outside] == 0.0)
     y = rng.random((rows, cols))
-    spec = np.conj(np.fft.rfft2(y, op.grid))
+    spec = np.conj(np.fft.rfft2(y[window], op.grid))
     spec *= op.transfer
     np.conjugate(spec, out=spec)
     ref = np.fft.irfft2(spec, op.grid)[: shape[0], : shape[1]]
     assert np.array_equal(op.adjoint(y), ref)
+
+
+def test_operator_grid_sizes(monkeypatch):
+    # cli_stages RL/CGLS, the default-size RL/CGLS and fft scan, a non-square blur
+    assert ScanOperator(np.ones((15, 15)), (64, 64), 14).grid == (80, 80)
+    assert ScanOperator(np.ones((101, 101)), (300, 300), 100).grid == (400, 400)
+    grids = []
+
+    class Spy(ScanOperator):
+        def __init__(self, spot, shape, extension):
+            super().__init__(spot, shape, extension)
+            grids.append((spot.shape, self.grid))
+
+    monkeypatch.setattr("densescan.scanner.ScanOperator", Spy)
+    sample = Image(np.random.default_rng(0).random((30, 31)), 1.0)
+    widefield_blur(sample, make_microscope_psf(3.0, 81), "fft")
+    assert grids == [((61, 61), (90, 96))]  # 2 * (31 - 1) + 1 taps
+
+
+@pytest.mark.parametrize("shape, side, ext", [
+    ((10, 12), 7, 3),  # extension == spot_side // 2; N + spot_side - 2 = 15 is 5-smooth
+    ((40, 64), 15, 10),  # extension > spot_side // 2
+    ((30, 31), 21, 4),  # extension < spot_side // 2: the window is cropped
+    ((30, 31), 9, 0),
+])
+def test_operator_forward_matches_direct(shape, side, ext):
+    rng = np.random.default_rng(2)
+    spot = random_spot(rng, side).pixels
+    x = rng.random(shape)
+    want = _corr_valid_direct(np.pad(x, ext + side // 2), spot)
+    got = ScanOperator(spot, shape, ext).forward(x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape, side, ext", [
+    ((40, 64), 15, 10),
+    ((30, 31), 9, 0),
+    ((30, 31), 21, 4),  # extension < spot_side // 2
+    ((10, 12), 7, 3),
+])
+def test_operator_adjoint_dot_test(shape, side, ext):
+    rng = np.random.default_rng(4)
+    op = ScanOperator(random_spot(rng, side).pixels, shape, ext)
+    x = rng.standard_normal(shape)
+    y = rng.standard_normal((shape[0] + 2 * ext, shape[1] + 2 * ext))
+    lhs = float(np.vdot(op.forward(x), y))
+    rhs = float(np.vdot(x, op.adjoint(y)))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
 # --- widefield blur ------------------------------------------------------------
@@ -254,14 +318,14 @@ def test_widefield_heavy_blur_variance_reduction():
 
 @pytest.mark.parametrize("shape, side", [
     ((20, 20), 61),
-    ((40, 64), 161),  # grid 192 x 216
-    ((30, 31), 81),  # no 5-smooth pair of sides: the 2N - 1 window
+    ((40, 64), 161),  # 127 taps, grid 180 x 192
+    ((30, 31), 81),  # 61 taps, grid 90 x 96
 ])
 def test_widefield_crop_equals_uncropped_blur(shape, side):
     rng = np.random.default_rng(11)
     sample = Image(rng.random(shape), 1.0)
     psf = make_microscope_psf(3.0, side)
-    assert _blur_halfwidth(shape) < side // 2  # the PSF is cropped
+    assert max(shape) - 1 < side // 2  # the PSF is cropped
     kernel = psf.pixels[::-1, ::-1]
     direct = widefield_blur(sample, psf, "direct").pixels
     assert np.array_equal(direct, _scan_field(sample.pixels, kernel, 0, 0.0, "direct"))
