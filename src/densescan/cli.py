@@ -162,6 +162,8 @@ def _validate_config(cfg: PipelineConfig) -> None:
         raise ConfigError(f"pgm_depth must be 8 or 16, got {cfg.pgm_depth}")
     if cfg.step != 1:
         raise ConfigError("the pipeline harness requires step = 1 (dense scan)")
+    if cfg.noise_seed < 0:
+        raise ConfigError(f"noise_seed must be >= 0, got {cfg.noise_seed}")
     for sigma in (cfg.noise_sigma, *cfg.noise_sweep):
         if not (sigma >= 0 and math.isfinite(sigma)):
             raise ConfigError(f"noise sigmas must be finite and >= 0, got {sigma}")

@@ -3,7 +3,7 @@
 Four solver families over one forward relation, the step-1
 zero-background scan :class:`~densescan.scanner.ScanOperator` (the
 intermediate image is the correlation of the zero-extended sample with
-the spot):
+the spot). Each request class solves in its own ``solve(op, y)``:
 
 * InverseFilter  - spectral division by the spot's transfer (below),
   with hard thresholding of small spot-spectrum magnitudes;
@@ -13,6 +13,10 @@ the spot):
 * LeastSquaresCG - conjugate gradients on the normal equations, applied
   matrix-free through the same operator.
 
+:func:`recover` builds the operator, subtracts a constant known
+background's forward response (so every solver sees the zero-background
+model) and calls ``solve``.
+
 The spectral pair divides the intermediate's rFFT by the spot's transfer
 on the intermediate's own grid, N + 2 * extension per axis: only there
 is the intermediate's spectrum exactly that transfer times the sample's,
@@ -20,9 +24,8 @@ and only when extension >= spot_side // 2; smaller extensions crop the
 correlation and are left to the iterative solvers. A grid rounded up to
 a fast FFT length would also move the spectral floor min|H|/max|H| that
 the default threshold is set against. RL and CGLS apply the operator on
-its own minimal 5-smooth grid, built once per solve. Constant known
-backgrounds are reduced to the zero-background case by subtracting
-their forward response.
+its own minimal 5-smooth grid; it transforms the spot on first use, so a
+zero-background spectral solve does that only on the intermediate's grid.
 """
 
 from __future__ import annotations
@@ -34,13 +37,27 @@ import numpy as np
 
 from .grid import Image, Rect
 from .psf import SpotImage
-from .scanner import Background, ConstantBackground, ScanOperator, ZeroBackground, _transfer
+from .scanner import Background, ScanOperator, ZeroBackground, _transfer
 
 _RL_DIVISION_GUARD = 1e-12
 
 
+class _SpectralSolve:
+    """solve() of the spectral pair; each member divides by ``_divide``."""
+
+    def solve(self, op: ScanOperator, y: np.ndarray) -> tuple[np.ndarray, int, float]:
+        ctr = op.spot.shape[0] // 2
+        if op.extension < ctr:
+            raise ValueError(
+                f"spectral methods need extension >= {ctr} (half the spot side), "
+                f"got {op.extension}"
+            )
+        h = _spectral_transfer(op.spot, y.shape, op.extension)
+        return np.fft.irfft2(self._divide(h, np.fft.rfft2(y)), y.shape), 0, 0.0
+
+
 @dataclass(frozen=True)
-class InverseFilter:
+class InverseFilter(_SpectralSolve):
     """Zero spectral components where |H| < threshold * max|H|."""
 
     threshold: float
@@ -49,9 +66,14 @@ class InverseFilter:
         if not (0.0 <= self.threshold <= 1.0):
             raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
 
+    def _divide(self, h: np.ndarray, yspec: np.ndarray) -> np.ndarray:
+        mag = np.abs(h)
+        keep = (mag >= self.threshold * mag.max()) & (mag > 0.0)
+        return np.where(keep, yspec / np.where(keep, h, 1.0), 0.0)
+
 
 @dataclass(frozen=True)
-class Wiener:
+class Wiener(_SpectralSolve):
     """Damped spectral division with a scalar noise-to-signal ratio."""
 
     nsr: float
@@ -59,6 +81,11 @@ class Wiener:
     def __post_init__(self) -> None:
         if not (self.nsr >= 0) or not math.isfinite(self.nsr):
             raise ValueError(f"nsr must be finite and >= 0, got {self.nsr}")
+
+    def _divide(self, h: np.ndarray, yspec: np.ndarray) -> np.ndarray:
+        denom = np.square(np.abs(h)) + self.nsr
+        safe = denom > 0.0
+        return np.where(safe, yspec * np.conj(h) / np.where(safe, denom, 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -69,6 +96,10 @@ class RichardsonLucy:
         if int(self.iterations) != self.iterations or self.iterations < 0:
             raise ValueError(f"iterations must be an integer >= 0, got {self.iterations}")
         object.__setattr__(self, "iterations", int(self.iterations))
+
+    def solve(self, op: ScanOperator, y: np.ndarray) -> tuple[np.ndarray, int, float]:
+        x = _richardson_lucy(y, op.spot, op.extension, self.iterations, op=op)
+        return x, self.iterations, _relative_residual(x, y, op)
 
 
 @dataclass(frozen=True)
@@ -84,6 +115,11 @@ class LeastSquaresCG:
                 f"max_iterations must be an integer >= 1, got {self.max_iterations}"
             )
         object.__setattr__(self, "max_iterations", int(self.max_iterations))
+
+    def solve(self, op: ScanOperator, y: np.ndarray) -> tuple[np.ndarray, int, float]:
+        x, iters, history = _cgls(y, op.spot, op.extension, self.tolerance,
+                                  self.max_iterations, op)
+        return x, iters, history[-1] if history else _relative_residual(x, y, op)
 
 
 DeconvRequest = InverseFilter | Wiener | RichardsonLucy | LeastSquaresCG
@@ -119,33 +155,26 @@ def dft2_inverse(spectrum) -> np.ndarray:
     return np.fft.ifft2(arr)
 
 
-def _base_dims(intermediate: Image, extension: int) -> tuple[int, int]:
+def _checked_operator(y: np.ndarray, spot: np.ndarray, extension: int,
+                      roi: Rect | None = None) -> ScanOperator:
+    """Check that ``y`` less ``extension`` px per side leaves a sample
+    extent holding ``roi``; return the scan operator of that extent."""
     if int(extension) != extension or extension < 0:
         raise ValueError(f"extension must be an integer >= 0, got {extension}")
-    nw = intermediate.width - 2 * extension
-    nh = intermediate.height - 2 * extension
-    if nw < 1 or nh < 1:
+    extension = int(extension)
+    base_h, base_w = (n - 2 * extension for n in y.shape)
+    if base_w < 1 or base_h < 1:
         raise ValueError(
-            f"extension {extension} inconsistent with intermediate "
-            f"{intermediate.width}x{intermediate.height}"
+            f"extension {extension} inconsistent with intermediate {y.shape[1]}x{y.shape[0]}"
         )
-    return nw, nh
-
-
-def _check_roi(roi: Rect, base_w: int, base_h: int) -> None:
-    if roi.x0 < 0 or roi.y0 < 0 or roi.x0 + roi.width > base_w or roi.y0 + roi.height > base_h:
-        raise ValueError(
-            f"roi {roi} exceeds the reconstructed extent {base_w}x{base_h}"
-        )
+    if roi is not None and (roi.x0 < 0 or roi.y0 < 0 or roi.x0 + roi.width > base_w
+                            or roi.y0 + roi.height > base_h):
+        raise ValueError(f"roi {roi} exceeds the reconstructed extent {base_w}x{base_h}")
+    return ScanOperator(spot, (base_h, base_w), extension)
 
 
 def _crop(field: np.ndarray, roi: Rect) -> np.ndarray:
     return field[roi.y0 : roi.y0 + roi.height, roi.x0 : roi.x0 + roi.width]
-
-
-def _operator(y: np.ndarray, spot: np.ndarray, extension: int) -> ScanOperator:
-    shape = (y.shape[0] - 2 * extension, y.shape[1] - 2 * extension)
-    return ScanOperator(spot, shape, extension)
 
 
 def _spectral_transfer(spot: np.ndarray, shape: tuple[int, int], extension: int) -> np.ndarray:
@@ -159,16 +188,13 @@ def adjoint_apply(image: Image, spot: SpotImage, roi: Rect, extension: int) -> I
     This is correlation with the 180-degree-rotated spot restricted to
     sample coordinates, cropped to ``roi``.
     """
-    base_w, base_h = _base_dims(image, extension)
-    extension = int(extension)
-    _check_roi(roi, base_w, base_h)
-    full = _operator(image.pixels, spot.pixels, extension).adjoint(image.pixels)
-    return Image(_crop(full, roi), image.pitch)
+    op = _checked_operator(image.pixels, spot.pixels, extension, roi)
+    return Image(_crop(op.adjoint(image.pixels), roi), image.pitch)
 
 
 def _richardson_lucy(y: np.ndarray, spot: np.ndarray, extension: int,
                      iterations: int, on_iterate=None, op=None) -> np.ndarray:
-    op = op or _operator(y, spot, extension)
+    op = op or _checked_operator(y, spot, extension)
     start = max(float(y.mean()), np.finfo(np.float64).tiny)
     x = np.full(op.shape, start)
     for _ in range(iterations):
@@ -189,7 +215,7 @@ def _cgls(y: np.ndarray, spot: np.ndarray, extension: int, tolerance: float,
     The recorded residual is ||y - A x|| / ||y||, which CGLS decreases
     monotonically.
     """
-    op = op or _operator(y, spot, extension)
+    op = op or _checked_operator(y, spot, extension)
     x = np.zeros(op.shape)
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
@@ -238,45 +264,13 @@ def recover(intermediate: Image, spot: SpotImage, roi: Rect, extension: int,
     response before inversion, so every solver sees the zero-background
     model.
     """
-    base_w, base_h = _base_dims(intermediate, extension)
-    extension = int(extension)
-    _check_roi(roi, base_w, base_h)
-    if not isinstance(background, (ZeroBackground, ConstantBackground)):
+    op = _checked_operator(intermediate.pixels, spot.pixels, extension, roi)
+    if not isinstance(background, Background):
         raise ValueError(f"unknown background model {background!r}")
+    if not isinstance(request, DeconvRequest):
+        raise ValueError(f"unknown deconvolution request {request!r}")
     y = intermediate.pixels
-    level = background.level if isinstance(background, ConstantBackground) else 0.0
-    spectral = isinstance(request, (InverseFilter, Wiener))
-    op = None if spectral and not level else _operator(y, spot.pixels, extension)
-    if level:
-        y = y - op.forward(np.zeros(op.shape), level)
-
-    pitch = intermediate.pitch
-    if spectral:
-        ctr = spot.pixels.shape[0] // 2
-        if extension < ctr:
-            raise ValueError(
-                f"spectral methods need extension >= {ctr} (half the spot side), "
-                f"got {extension}"
-            )
-        h = _spectral_transfer(spot.pixels, y.shape, extension)
-        yspec = np.fft.rfft2(y)
-        if isinstance(request, InverseFilter):
-            mag = np.abs(h)
-            keep = (mag >= request.threshold * mag.max()) & (mag > 0.0)
-            xspec = np.where(keep, yspec / np.where(keep, h, 1.0), 0.0)
-        else:
-            denom = np.square(np.abs(h)) + request.nsr
-            safe = denom > 0.0
-            xspec = np.where(safe, yspec * np.conj(h) / np.where(safe, denom, 1.0), 0.0)
-        field = np.fft.irfft2(xspec, y.shape)
-        return RecoveryResult(Image(_crop(field, roi), pitch), 0, 0.0)
-    if isinstance(request, RichardsonLucy):
-        x = _richardson_lucy(y, spot.pixels, extension, request.iterations, op=op)
-        res = _relative_residual(x, y, op)
-        return RecoveryResult(Image(_crop(x, roi), pitch), request.iterations, res)
-    if isinstance(request, LeastSquaresCG):
-        x, iters, history = _cgls(y, spot.pixels, extension, request.tolerance,
-                                  request.max_iterations, op)
-        res = history[-1] if history else _relative_residual(x, y, op)
-        return RecoveryResult(Image(_crop(x, roi), pitch), iters, res)
-    raise ValueError(f"unknown deconvolution request {request!r}")
+    if background.level:
+        y = y - op.forward(np.zeros(op.shape), background.level)
+    x, iterations, residual = request.solve(op, y)
+    return RecoveryResult(Image(_crop(x, roi), intermediate.pitch), iterations, residual)

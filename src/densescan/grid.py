@@ -182,6 +182,9 @@ def export_pgm(image: Image, path: str | Path, bit_depth: int = 8) -> None:
     lo = float(px.min())
     hi = float(px.max())
     if hi > lo:
+        if hi - lo == np.inf:
+            # hi - lo overflowed; halving every value is exact and brings it in range
+            px, lo, hi = px / 2, lo / 2, hi / 2
         # divide before scaling: for near-degenerate ranges the ratio
         # stays in [0, 1] where a precomputed 1/(hi-lo) would overflow
         scaled = np.rint((px - lo) / (hi - lo) * maxval)

@@ -1,7 +1,9 @@
 """Ground-truth sample generators with structure finer than the spot.
 
 Targets are binary-valued (0/1) so post-deconvolution ringing and errors
-read directly in the metrics. Generation is deterministic: RandomBlobs
+read directly in the metrics. Each spec class renders itself onto a
+canvas (``render``), checking that its geometry fits; :func:`generate`
+wraps the result in an Image. Generation is deterministic: RandomBlobs
 draws its geometry from Python's random.Random, whose sequence is
 stability-guaranteed across platforms and versions.
 """
@@ -28,6 +30,20 @@ class PointPair:
         if int(self.separation) != self.separation or self.separation < 1:
             raise ValueError(f"separation must be an integer >= 1, got {self.separation}")
 
+    def render(self, width: int, height: int) -> np.ndarray:
+        cy = height // 2
+        x1 = width // 2 - self.separation // 2
+        x2 = x1 + self.separation
+        if x1 < 1 or x2 > width - 2 or cy < 1 or cy > height - 2:
+            raise ValueError(
+                f"separation {self.separation} does not fit a {width}x{height} canvas "
+                "with a 1 px margin"
+            )
+        out = np.zeros((height, width))
+        out[cy, x1] = 1.0
+        out[cy, x2] = 1.0
+        return out
+
 
 @dataclass(frozen=True)
 class BarGrid:
@@ -42,6 +58,13 @@ class BarGrid:
         if not (0.0 < self.duty < 1.0):
             raise ValueError(f"duty must lie in (0, 1), got {self.duty}")
 
+    def render(self, width: int, height: int) -> np.ndarray:
+        on_width = max(1, min(self.period, round(self.period * self.duty)))
+        cols = (np.arange(width) % self.period) < on_width
+        out = np.zeros((height, width))
+        out[:, cols] = 1.0
+        return out
+
 
 @dataclass(frozen=True)
 class SiemensStar:
@@ -50,6 +73,20 @@ class SiemensStar:
     def __post_init__(self) -> None:
         if int(self.spokes) != self.spokes or self.spokes < 2:
             raise ValueError(f"spokes must be an integer >= 2, got {self.spokes}")
+
+    def render(self, width: int, height: int) -> np.ndarray:
+        radius = min(width, height) / 2.0 - 1.5
+        if radius < 2.0:
+            raise ValueError(f"canvas {width}x{height} too small for a star target")
+        cy = (height - 1) / 2.0
+        cx = (width - 1) / 2.0
+        yy, xx = np.mgrid[0:height, 0:width]
+        dy = yy - cy
+        dx = xx - cx
+        angle = np.arctan2(dy, dx) + np.pi  # [0, 2pi]
+        wedge = np.floor(angle / (np.pi / self.spokes)).astype(int)
+        inside = np.hypot(dy, dx) <= radius
+        return np.where(inside & (wedge % 2 == 0), 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -64,62 +101,23 @@ class RandomBlobs:
         if not (self.radius > 0) or not math.isfinite(self.radius):
             raise ValueError(f"radius must be > 0, got {self.radius}")
 
+    def render(self, width: int, height: int) -> np.ndarray:
+        margin = int(math.ceil(self.radius)) + 1
+        if width - margin <= margin or height - margin <= margin:
+            raise ValueError(
+                f"blob radius {self.radius} does not fit a {width}x{height} canvas"
+            )
+        rng = random.Random(self.seed)
+        out = np.zeros((height, width))
+        yy, xx = np.mgrid[0:height, 0:width]
+        for _ in range(self.count):
+            cx = rng.randrange(margin, width - margin)
+            cy = rng.randrange(margin, height - margin)
+            out[np.hypot(yy - cy, xx - cx) <= self.radius] = 1.0
+        return out
+
 
 PatternSpec = PointPair | BarGrid | SiemensStar | RandomBlobs
-
-
-def _point_pair(spec: PointPair, width: int, height: int) -> np.ndarray:
-    cy = height // 2
-    x1 = width // 2 - spec.separation // 2
-    x2 = x1 + spec.separation
-    if x1 < 1 or x2 > width - 2 or cy < 1 or cy > height - 2:
-        raise ValueError(
-            f"separation {spec.separation} does not fit a {width}x{height} canvas "
-            "with a 1 px margin"
-        )
-    out = np.zeros((height, width))
-    out[cy, x1] = 1.0
-    out[cy, x2] = 1.0
-    return out
-
-
-def _bar_grid(spec: BarGrid, width: int, height: int) -> np.ndarray:
-    on_width = max(1, min(spec.period, round(spec.period * spec.duty)))
-    cols = (np.arange(width) % spec.period) < on_width
-    out = np.zeros((height, width))
-    out[:, cols] = 1.0
-    return out
-
-
-def _siemens_star(spec: SiemensStar, width: int, height: int) -> np.ndarray:
-    radius = min(width, height) / 2.0 - 1.5
-    if radius < 2.0:
-        raise ValueError(f"canvas {width}x{height} too small for a star target")
-    cy = (height - 1) / 2.0
-    cx = (width - 1) / 2.0
-    yy, xx = np.mgrid[0:height, 0:width]
-    dy = yy - cy
-    dx = xx - cx
-    angle = np.arctan2(dy, dx) + np.pi  # [0, 2pi]
-    wedge = np.floor(angle / (np.pi / spec.spokes)).astype(int)
-    inside = np.hypot(dy, dx) <= radius
-    return np.where(inside & (wedge % 2 == 0), 1.0, 0.0)
-
-
-def _random_blobs(spec: RandomBlobs, width: int, height: int) -> np.ndarray:
-    margin = int(math.ceil(spec.radius)) + 1
-    if width - margin <= margin or height - margin <= margin:
-        raise ValueError(
-            f"blob radius {spec.radius} does not fit a {width}x{height} canvas"
-        )
-    rng = random.Random(spec.seed)
-    out = np.zeros((height, width))
-    yy, xx = np.mgrid[0:height, 0:width]
-    for _ in range(spec.count):
-        cx = rng.randrange(margin, width - margin)
-        cy = rng.randrange(margin, height - margin)
-        out[np.hypot(yy - cy, xx - cx) <= spec.radius] = 1.0
-    return out
 
 
 def generate(spec: PatternSpec, width: int, height: int, pitch: float) -> Image:
@@ -129,14 +127,6 @@ def generate(spec: PatternSpec, width: int, height: int, pitch: float) -> Image:
     """
     if width < 1 or height < 1:
         raise ValueError(f"canvas dimensions must be >= 1, got {width}x{height}")
-    if isinstance(spec, PointPair):
-        data = _point_pair(spec, width, height)
-    elif isinstance(spec, BarGrid):
-        data = _bar_grid(spec, width, height)
-    elif isinstance(spec, SiemensStar):
-        data = _siemens_star(spec, width, height)
-    elif isinstance(spec, RandomBlobs):
-        data = _random_blobs(spec, width, height)
-    else:
+    if not isinstance(spec, PatternSpec):
         raise ValueError(f"unknown pattern spec {spec!r}")
-    return Image(data, pitch)
+    return Image(spec.render(width, height), pitch)

@@ -5,9 +5,11 @@ the sample grid; it acts as the convolution kernel of the dense-scan
 forward model. Spots are sum-normalized so that scanning a constant
 sample returns that constant. The conventional-microscope PSF keeps its
 Airy rings (low-pass behavior), while the spot variants are compactly
-supported. All profiles are radial, so each is evaluated on one octant
-of the odd square and mirrored into the rest. The Airy profiles' J1 series
-stops at 16 of 40 terms when no argument exceeds 3.5, changing no bit.
+supported. Each spot profile's ``render`` checks its fit and returns its
+unnormalized image; :func:`make_spot` normalizes it. All profiles are
+radial, so each is evaluated on one octant of the odd square and
+mirrored into the rest. The Airy profiles' J1 series stops at 16 of 40
+terms when no argument exceeds 3.5, changing no bit.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ class AiryCore:
         if not (self.first_zero_radius > 0) or not math.isfinite(self.first_zero_radius):
             raise ValueError(f"first_zero_radius must be > 0, got {self.first_zero_radius}")
 
+    def render(self, side: int) -> np.ndarray:
+        r0 = self.first_zero_radius
+        if r0 > side // 2:
+            raise ValueError(
+                f"Airy first zero {r0} exceeds support radius {side // 2} for side {side}"
+            )
+        return _radial_image(lambda r: np.where(r > r0, 0.0, _airy_intensity(r, r0)), side)
+
 
 @dataclass(frozen=True)
 class Gaussian:
@@ -50,6 +60,9 @@ class Gaussian:
         if not (self.sigma > 0) or not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
+    def render(self, side: int) -> np.ndarray:
+        return _radial_image(lambda r: np.exp(-np.square(r) / (2.0 * self.sigma**2)), side)
+
 
 @dataclass(frozen=True)
 class Disk:
@@ -60,6 +73,11 @@ class Disk:
     def __post_init__(self) -> None:
         if not (self.radius > 0) or not math.isfinite(self.radius):
             raise ValueError(f"radius must be > 0, got {self.radius}")
+
+    def render(self, side: int) -> np.ndarray:
+        if math.floor(self.radius) > side // 2:
+            raise ValueError(f"disk radius {self.radius} does not fit in side {side}")
+        return _radial_image(lambda r: (r <= self.radius).astype(np.float64), side)
 
 
 SpotProfile = AiryCore | Gaussian | Disk
@@ -186,25 +204,9 @@ def make_spot(profile: SpotProfile, side: int, pitch: float = 1.0) -> SpotImage:
     """
     if side < 1 or side % 2 == 0:
         raise ValueError(f"spot side must be odd and >= 1, got {side}")
-    half = (side - 1) // 2
-    if isinstance(profile, Disk):
-        if math.floor(profile.radius) > half:
-            raise ValueError(
-                f"disk radius {profile.radius} does not fit in side {side}"
-            )
-        values = _radial_image(lambda r: (r <= profile.radius).astype(np.float64), side)
-    elif isinstance(profile, Gaussian):
-        values = _radial_image(lambda r: np.exp(-np.square(r) / (2.0 * profile.sigma**2)), side)
-    elif isinstance(profile, AiryCore):
-        if profile.first_zero_radius > half:
-            raise ValueError(
-                f"Airy first zero {profile.first_zero_radius} exceeds support "
-                f"radius {half} for side {side}"
-            )
-        values = _radial_image(lambda r: np.where(
-            r > profile.first_zero_radius, 0.0, _airy_intensity(r, profile.first_zero_radius)), side)
-    else:
+    if not isinstance(profile, SpotProfile):
         raise ValueError(f"unknown spot profile {profile!r}")
+    values = profile.render(side)
     total = values.sum()
     if not total > 0:
         raise ValueError("spot profile has no support on the grid")

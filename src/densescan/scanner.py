@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,8 @@ from .psf import SpotImage
 @dataclass(frozen=True)
 class ZeroBackground:
     """Preprocessed periphery: zero response outside the sample."""
+
+    level = 0.0
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class ScanConfig:
             raise ValueError(f"step must be an integer >= 1, got {self.step}")
         if int(self.extension) != self.extension or self.extension < 0:
             raise ValueError(f"extension must be an integer >= 0, got {self.extension}")
-        if not isinstance(self.background, (ZeroBackground, ConstantBackground)):
+        if not isinstance(self.background, Background):
             raise ValueError(f"unknown background model {self.background!r}")
         object.__setattr__(self, "step", int(self.step))
         object.__setattr__(self, "extension", int(self.extension))
@@ -112,11 +115,13 @@ def _transfer(spot: np.ndarray, grid: tuple[int, int], offset: int) -> np.ndarra
 class ScanOperator:
     """The step-1 scan of a sample of ``shape`` (rows, columns), built
     once per (spot, sample shape, extension); see the module docstring.
+    The kernel's ``transfer`` is computed on first use.
     """
 
     def __init__(self, spot: np.ndarray, shape: tuple[int, int], extension: int) -> None:
         ctr = spot.shape[0] // 2
         pad = min(extension, ctr)
+        self.spot = spot
         self.shape = shape
         self.extension = extension
         self.grid = tuple(_fast_len(n + 2 * ctr) for n in shape)
@@ -125,10 +130,13 @@ class ScanOperator:
         start = extension - pad
         self._window = (shape[0] + 2 * pad, shape[1] + 2 * pad)
         self._sites = tuple(slice(start, start + n) for n in self._window)
-        self._spot_sum = float(spot.sum())
+        self._offset = pad - ctr
+
+    @cached_property
+    def transfer(self) -> np.ndarray:
         # Fields sit at the grid origin; the kernel's offset puts window
         # site 0 at grid index 0, so no call shifts an input or output.
-        self.transfer = _transfer(spot, self.grid, pad - ctr)
+        return _transfer(self.spot, self.grid, self._offset)
 
     def forward(self, x: np.ndarray, level: float = 0.0) -> np.ndarray:
         """Scan field of ``x`` with the sample extended by ``level``."""
@@ -140,7 +148,7 @@ class ScanOperator:
         out = np.zeros((self.shape[0] + 2 * ext, self.shape[1] + 2 * ext))
         out[self._sites] = self._inverse(spec, *self._window)
         if level:
-            out += level * self._spot_sum
+            out += level * float(self.spot.sum())
         return out
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -200,8 +208,8 @@ def simulate_scan(sample: Image, spot: SpotImage, config: ScanConfig,
             f"step {config.step} too large for scan extent "
             f"{sample.width + 2 * config.extension}x{sample.height + 2 * config.extension}"
         )
-    bg = 0.0 if isinstance(config.background, ZeroBackground) else config.background.level
-    field = _scan_field(sample.pixels, spot.pixels, config.extension, bg, method, config.step)
+    field = _scan_field(sample.pixels, spot.pixels, config.extension,
+                        config.background.level, method, config.step)
     return Image(field, sample.pitch * config.step)
 
 

@@ -564,6 +564,7 @@ def test_blur_needs_exactly_one_psf_source(tmp_path, capsys):
     "threshold = 2\n",
     "method = rl\niterations = -3\n",
     "spot_side = 10\n",
+    "noise_seed = -1\nnoise_sweep = 1e-3\n",
 ], ids=lambda extra: extra.strip().replace(" = ", "=").replace("\n", ","))
 def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys, extra):
     path = write_small_config(tmp_path, extra)

@@ -16,7 +16,8 @@ from densescan.deconv import (
 )
 from densescan.grid import Image, Rect
 from densescan.psf import Disk, Gaussian, SpotImage, make_spot
-from densescan.scanner import ConstantBackground, ScanConfig, simulate_scan
+from densescan import deconv, scanner
+from densescan.scanner import ConstantBackground, ScanConfig, ZeroBackground, simulate_scan
 
 from conftest import scan_oracle
 
@@ -235,6 +236,10 @@ def test_recover_validation_errors(rng):
         recover(inter, spot, Rect(0, 0, 48, 48), 8, InverseFilter(0.5))
     with pytest.raises(ValueError, match="spectral"):
         recover(inter, spot, Rect(0, 0, 44, 44), 2, InverseFilter(0.5))
+    with pytest.raises(ValueError, match="unknown deconvolution request"):
+        recover(inter, spot, Rect(0, 0, 32, 32), 8, object())
+    with pytest.raises(ValueError, match="unknown background model"):
+        recover(inter, spot, Rect(0, 0, 32, 32), 8, InverseFilter(0.5), background=object())
     with pytest.raises(ValueError, match="threshold"):
         InverseFilter(1.5)
     with pytest.raises(ValueError):
@@ -245,6 +250,33 @@ def test_recover_validation_errors(rng):
         LeastSquaresCG(0.0, 10)
     with pytest.raises(ValueError):
         LeastSquaresCG(1e-8, 0)
+
+
+@pytest.mark.parametrize("request_, zero_bg, constant_bg", [
+    (InverseFilter(1e-9), 1, 2),
+    (Wiener(1e-6), 1, 2),
+    (RichardsonLucy(3), 1, 1),
+    (LeastSquaresCG(1e-10, 3), 1, 1),
+], ids=["inverse", "wiener", "rl", "cgls"])
+def test_kernel_transforms_per_solve(monkeypatch, rng, request_, zero_bg, constant_bg):
+    # The spectral pair transforms the spot on the intermediate's grid; the
+    # operator transforms it on its own grid only when a solve applies it.
+    sample = Image(rng.random((24, 24)), 1.0)
+    spot = make_spot(Gaussian(1.0), 9)
+    transfer, calls = scanner._transfer, []
+
+    def counting(*args):
+        calls.append(args[1])  # the grid
+        return transfer(*args)
+
+    for background, want in ((ZeroBackground(), zero_bg), (ConstantBackground(0.3), constant_bg)):
+        inter = simulate_scan(sample, spot, ScanConfig(1, 8, background))
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(scanner, "_transfer", counting)
+            patch.setattr(deconv, "_transfer", counting)
+            recover(inter, spot, Rect(0, 0, 24, 24), 8, request_, background)
+        assert len(calls) == want, (background, calls)
 
 
 # --- Richardson-Lucy ---------------------------------------------------------------

@@ -272,6 +272,16 @@ def test_pgm_subnormal_value_range(tmp_path):
     assert list(levels.flatten()) == [0, 255]
 
 
+def test_pgm_range_beyond_float_max(tmp_path):
+    # hi - lo overflows float64; the levels must still span the range
+    data = np.array([[-1e308, 0.0, 1e308]])
+    path = tmp_path / "o.pgm"
+    with np.errstate(all="raise"):
+        export_pgm(Image(data, 1.0), path, 8)
+    levels, _ = read_pgm(path)
+    assert list(levels.flatten()) == [0, 128, 255]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     hnp.arrays(np.float64, st.tuples(st.integers(1, 16), st.integers(1, 16)),

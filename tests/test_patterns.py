@@ -105,6 +105,11 @@ def test_geometry_exceeding_canvas_errors():
         generate(SiemensStar(4), 4, 4, 1.0)
 
 
+def test_generate_rejects_foreign_spec():
+    with pytest.raises(ValueError, match="unknown pattern spec"):
+        generate(object(), 32, 32, 1.0)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         PointPair(0)

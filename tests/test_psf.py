@@ -236,6 +236,11 @@ def test_spot_image_validation():
         SpotImage(Image(bad, 1.0))
 
 
+def test_make_spot_rejects_foreign_profile():
+    with pytest.raises(ValueError, match="unknown spot profile"):
+        make_spot(object(), 5)
+
+
 def test_spot_roundtrip_revalidates(tmp_path):
     spot = make_spot(Gaussian(5.0), 31)
     path = tmp_path / "spot.ddsf"
