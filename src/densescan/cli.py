@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .deconv import InverseFilter, LeastSquaresCG, RichardsonLucy, Wiener, recover
-from .grid import FormatError, Image, Rect, crop, export_pgm, load_ddsf, save_ddsf
+from .grid import (FormatError, Image, Rect, _integer, _nonnegative, _positive, crop,
+                   export_pgm, load_ddsf, save_ddsf)
 from .metrics import CSV_HEADER, compare, two_point_contrast
 from .patterns import BarGrid, PointPair, RandomBlobs, SiemensStar, generate
 from .psf import AiryCore, Disk, Gaussian, SpotImage, make_microscope_psf, make_spot
@@ -162,14 +163,13 @@ def _validate_config(cfg: PipelineConfig) -> None:
         raise ConfigError(f"pgm_depth must be 8 or 16, got {cfg.pgm_depth}")
     if cfg.step != 1:
         raise ConfigError("the pipeline harness requires step = 1 (dense scan)")
-    if cfg.noise_seed < 0:
-        raise ConfigError(f"noise_seed must be >= 0, got {cfg.noise_seed}")
-    for sigma in (cfg.noise_sigma, *cfg.noise_sweep):
-        if not (sigma >= 0 and math.isfinite(sigma)):
-            raise ConfigError(f"noise sigmas must be finite and >= 0, got {sigma}")
-    # The chosen pattern, spot, scan and solver check their own parameters;
-    # building them here reports a bad value before any output is written.
+    # Checking the noise keys here, and building the chosen pattern, spot, scan and
+    # solver (which check their own), reports a bad value before any output is written.
     try:
+        _integer("noise_seed", cfg.noise_seed, 0)
+        _nonnegative("noise_sigma", cfg.noise_sigma)
+        for sigma in cfg.noise_sweep:
+            _nonnegative("noise_sweep", sigma)
         PATTERNS[cfg.pattern](cfg)
         build_spot(cfg)
         ScanConfig(cfg.step, cfg.extension, cfg.background)
@@ -226,8 +226,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
     metrics.csv (three comparisons), run_config.txt, and, when the config
     lists ``noise_sweep`` sigmas, noise_sweep.csv with one recovery row
     per sigma (each injected into the clean intermediate at the fixed
-    noise seed).
+    noise seed). A bad config raises ConfigError before anything is written.
     """
+    _validate_config(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
 
     expected = build_target(cfg)
@@ -323,8 +324,8 @@ def _cmd_blur(args: argparse.Namespace) -> int:
     else:
         radius, side = args.microscope_radius, args.microscope_side
         if side is None:
-            # make_microscope_psf reports a radius that is not finite and > 0
-            side = 2 * math.ceil(radius) + 1 if 0 < radius < math.inf else 1
+            _positive("first_zero_radius", radius)  # before ceil() sees it
+            side = 2 * math.ceil(radius) + 1
         psf = make_microscope_psf(radius, side, sample.pitch)
     save_ddsf(widefield_blur(sample, psf), args.output)
     return 0

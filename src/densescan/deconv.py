@@ -30,12 +30,11 @@ zero-background spectral solve does that only on the intermediate's grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Image, Rect
+from .grid import Image, Rect, _integer, _nonnegative, _positive
 from .psf import SpotImage
 from .scanner import Background, ScanOperator, ZeroBackground, _transfer
 
@@ -79,8 +78,7 @@ class Wiener(_SpectralSolve):
     nsr: float
 
     def __post_init__(self) -> None:
-        if not (self.nsr >= 0) or not math.isfinite(self.nsr):
-            raise ValueError(f"nsr must be finite and >= 0, got {self.nsr}")
+        _nonnegative("nsr", self.nsr)
 
     def _divide(self, h: np.ndarray, yspec: np.ndarray) -> np.ndarray:
         denom = np.square(np.abs(h)) + self.nsr
@@ -93,12 +91,10 @@ class RichardsonLucy:
     iterations: int
 
     def __post_init__(self) -> None:
-        if int(self.iterations) != self.iterations or self.iterations < 0:
-            raise ValueError(f"iterations must be an integer >= 0, got {self.iterations}")
-        object.__setattr__(self, "iterations", int(self.iterations))
+        object.__setattr__(self, "iterations", _integer("iterations", self.iterations, 0))
 
     def solve(self, op: ScanOperator, y: np.ndarray) -> tuple[np.ndarray, int, float]:
-        x = _richardson_lucy(y, op.spot, op.extension, self.iterations, op=op)
+        x = _richardson_lucy(op, y, self.iterations)
         return x, self.iterations, _relative_residual(x, y, op)
 
 
@@ -108,17 +104,12 @@ class LeastSquaresCG:
     max_iterations: int
 
     def __post_init__(self) -> None:
-        if not (self.tolerance > 0) or not math.isfinite(self.tolerance):
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be an integer >= 1, got {self.max_iterations}"
-            )
-        object.__setattr__(self, "max_iterations", int(self.max_iterations))
+        _positive("tolerance", self.tolerance)
+        object.__setattr__(self, "max_iterations",
+                           _integer("max_iterations", self.max_iterations, 1))
 
     def solve(self, op: ScanOperator, y: np.ndarray) -> tuple[np.ndarray, int, float]:
-        x, iters, history = _cgls(y, op.spot, op.extension, self.tolerance,
-                                  self.max_iterations, op)
+        x, iters, history = _cgls(op, y, self.tolerance, self.max_iterations)
         return x, iters, history[-1] if history else _relative_residual(x, y, op)
 
 
@@ -159,9 +150,7 @@ def _checked_operator(y: np.ndarray, spot: np.ndarray, extension: int,
                       roi: Rect | None = None) -> ScanOperator:
     """Check that ``y`` less ``extension`` px per side leaves a sample
     extent holding ``roi``; return the scan operator of that extent."""
-    if int(extension) != extension or extension < 0:
-        raise ValueError(f"extension must be an integer >= 0, got {extension}")
-    extension = int(extension)
+    extension = _integer("extension", extension, 0)
     base_h, base_w = (n - 2 * extension for n in y.shape)
     if base_w < 1 or base_h < 1:
         raise ValueError(
@@ -192,9 +181,8 @@ def adjoint_apply(image: Image, spot: SpotImage, roi: Rect, extension: int) -> I
     return Image(_crop(op.adjoint(image.pixels), roi), image.pitch)
 
 
-def _richardson_lucy(y: np.ndarray, spot: np.ndarray, extension: int,
-                     iterations: int, on_iterate=None, op=None) -> np.ndarray:
-    op = op or _checked_operator(y, spot, extension)
+def _richardson_lucy(op: ScanOperator, y: np.ndarray, iterations: int,
+                     on_iterate=None) -> np.ndarray:
     start = max(float(y.mean()), np.finfo(np.float64).tiny)
     x = np.full(op.shape, start)
     for _ in range(iterations):
@@ -208,14 +196,13 @@ def _richardson_lucy(y: np.ndarray, spot: np.ndarray, extension: int,
     return x
 
 
-def _cgls(y: np.ndarray, spot: np.ndarray, extension: int, tolerance: float,
-          max_iterations: int, op=None) -> tuple[np.ndarray, int, list[float]]:
+def _cgls(op: ScanOperator, y: np.ndarray, tolerance: float,
+          max_iterations: int) -> tuple[np.ndarray, int, list[float]]:
     """CGLS on the normal equations; returns (x, iterations, residual history).
 
     The recorded residual is ||y - A x|| / ||y||, which CGLS decreases
     monotonically.
     """
-    op = op or _checked_operator(y, spot, extension)
     x = np.zeros(op.shape)
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:

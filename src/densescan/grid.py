@@ -1,12 +1,19 @@
-"""Image data model, padding/cropping, and bit-exact file formats.
+"""Image data model, padding/cropping, bit-exact file formats, parameter guards.
 
 Images are immutable after construction (the pixel array is marked
 read-only), so every operation here is pure and safe to share across
 threads.
+
+Every module checks its scalar parameters with the same three guards:
+:func:`_integer` (integral, finite and >= a minimum; returns the int, so
+``10.0`` becomes ``10``), :func:`_positive` (finite, > 0) and
+:func:`_nonnegative` (finite, >= 0). Anything else, NaN and +-inf
+included, raises a ValueError that names the parameter.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +26,27 @@ DDSF_HEADER = struct.Struct("<8sIId")  # magic, width, height, pitch
 
 class FormatError(ValueError):
     """A DDSF payload is malformed (bad magic, truncation, size mismatch)."""
+
+
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int; ValueError unless it is integral, finite and >= minimum."""
+    try:
+        if int(value) == value and (minimum is None or value >= minimum):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, +-inf
+        pass
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise ValueError(f"{name} must be an integer{bound}, got {value}")
+
+
+def _positive(name: str, value) -> None:
+    if not (value > 0) or not math.isfinite(value):
+        raise ValueError(f"{name} must be > 0, got {value}")
+
+
+def _nonnegative(name: str, value) -> None:
+    if not (value >= 0) or not math.isfinite(value):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,13 +104,8 @@ class Rect:
     height: int
 
     def __post_init__(self) -> None:
-        for name in ("x0", "y0", "width", "height"):
-            value = getattr(self, name)
-            if int(value) != value:
-                raise ValueError(f"Rect.{name} must be an integer, got {value}")
-            object.__setattr__(self, name, int(value))
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"Rect dimensions must be >= 1, got {self.width}x{self.height}")
+        for name, minimum in (("x0", None), ("y0", None), ("width", 1), ("height", 1)):
+            object.__setattr__(self, name, _integer(f"Rect.{name}", getattr(self, name), minimum))
 
 
 def new_image(width: int, height: int, pitch: float, fill: float = 0.0) -> Image:

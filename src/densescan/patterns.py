@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Image
+from .grid import Image, _integer, _positive
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,7 @@ class PointPair:
     separation: int
 
     def __post_init__(self) -> None:
-        if int(self.separation) != self.separation or self.separation < 1:
-            raise ValueError(f"separation must be an integer >= 1, got {self.separation}")
+        object.__setattr__(self, "separation", _integer("separation", self.separation, 1))
 
     def render(self, width: int, height: int) -> np.ndarray:
         cy = height // 2
@@ -53,8 +52,7 @@ class BarGrid:
     duty: float
 
     def __post_init__(self) -> None:
-        if int(self.period) != self.period or self.period < 1:
-            raise ValueError(f"period must be an integer >= 1, got {self.period}")
+        object.__setattr__(self, "period", _integer("period", self.period, 1))
         if not (0.0 < self.duty < 1.0):
             raise ValueError(f"duty must lie in (0, 1), got {self.duty}")
 
@@ -71,8 +69,7 @@ class SiemensStar:
     spokes: int
 
     def __post_init__(self) -> None:
-        if int(self.spokes) != self.spokes or self.spokes < 2:
-            raise ValueError(f"spokes must be an integer >= 2, got {self.spokes}")
+        object.__setattr__(self, "spokes", _integer("spokes", self.spokes, 2))
 
     def render(self, width: int, height: int) -> np.ndarray:
         radius = min(width, height) / 2.0 - 1.5
@@ -96,10 +93,8 @@ class RandomBlobs:
     seed: int
 
     def __post_init__(self) -> None:
-        if int(self.count) != self.count or self.count < 1:
-            raise ValueError(f"count must be an integer >= 1, got {self.count}")
-        if not (self.radius > 0) or not math.isfinite(self.radius):
-            raise ValueError(f"radius must be > 0, got {self.radius}")
+        object.__setattr__(self, "count", _integer("count", self.count, 1))
+        _positive("radius", self.radius)
 
     def render(self, width: int, height: int) -> np.ndarray:
         margin = int(math.ceil(self.radius)) + 1

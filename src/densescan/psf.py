@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Image
+from .grid import Image, _integer, _positive
 
 # First positive root of J1; sets the Airy first-zero radius scale.
 AIRY_FIRST_ZERO = 3.8317059702
@@ -38,8 +38,7 @@ class AiryCore:
     first_zero_radius: float
 
     def __post_init__(self) -> None:
-        if not (self.first_zero_radius > 0) or not math.isfinite(self.first_zero_radius):
-            raise ValueError(f"first_zero_radius must be > 0, got {self.first_zero_radius}")
+        _positive("first_zero_radius", self.first_zero_radius)
 
     def render(self, side: int) -> np.ndarray:
         r0 = self.first_zero_radius
@@ -57,8 +56,7 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0) or not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        _positive("sigma", self.sigma)
 
     def render(self, side: int) -> np.ndarray:
         return _radial_image(lambda r: np.exp(-np.square(r) / (2.0 * self.sigma**2)), side)
@@ -71,8 +69,7 @@ class Disk:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0) or not math.isfinite(self.radius):
-            raise ValueError(f"radius must be > 0, got {self.radius}")
+        _positive("radius", self.radius)
 
     def render(self, side: int) -> np.ndarray:
         if math.floor(self.radius) > side // 2:
@@ -202,8 +199,9 @@ def make_spot(profile: SpotProfile, side: int, pitch: float = 1.0) -> SpotImage:
     AiryCore needs first_zero_radius <= (side-1)/2. The Gaussian profile
     is simply truncated at the grid edge.
     """
-    if side < 1 or side % 2 == 0:
-        raise ValueError(f"spot side must be odd and >= 1, got {side}")
+    side = _integer("spot side", side, 1)
+    if side % 2 == 0:
+        raise ValueError(f"spot side must be odd, got {side}")
     if not isinstance(profile, SpotProfile):
         raise ValueError(f"unknown spot profile {profile!r}")
     values = profile.render(side)
@@ -222,10 +220,10 @@ def make_microscope_psf(first_zero_radius: float, side: int, pitch: float = 1.0)
     truncation to any odd side is allowed. Evaluated on one octant and
     mirrored, then sum-normalized over the full side.
     """
-    if side < 1 or side % 2 == 0:
-        raise ValueError(f"psf side must be odd and >= 1, got {side}")
-    if not (first_zero_radius > 0) or not math.isfinite(first_zero_radius):
-        raise ValueError(f"first_zero_radius must be > 0, got {first_zero_radius}")
+    side = _integer("psf side", side, 1)
+    if side % 2 == 0:
+        raise ValueError(f"psf side must be odd, got {side}")
+    _positive("first_zero_radius", first_zero_radius)
     values = _radial_image(lambda r: _airy_intensity(r, first_zero_radius), side)
     values /= values.sum()
     return Image(values, pitch)

@@ -31,13 +31,12 @@ the step equals the spot side.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .grid import Image
+from .grid import Image, _integer, _nonnegative
 from .psf import SpotImage
 
 
@@ -55,8 +54,7 @@ class ConstantBackground:
     level: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.level) or self.level < 0:
-            raise ValueError(f"background level must be finite and >= 0, got {self.level}")
+        _nonnegative("background level", self.level)
 
 
 Background = ZeroBackground | ConstantBackground
@@ -71,14 +69,10 @@ class ScanConfig:
     background: Background = field(default_factory=ZeroBackground)
 
     def __post_init__(self) -> None:
-        if int(self.step) != self.step or self.step < 1:
-            raise ValueError(f"step must be an integer >= 1, got {self.step}")
-        if int(self.extension) != self.extension or self.extension < 0:
-            raise ValueError(f"extension must be an integer >= 0, got {self.extension}")
+        object.__setattr__(self, "step", _integer("step", self.step, 1))
+        object.__setattr__(self, "extension", _integer("extension", self.extension, 0))
         if not isinstance(self.background, Background):
             raise ValueError(f"unknown background model {self.background!r}")
-        object.__setattr__(self, "step", int(self.step))
-        object.__setattr__(self, "extension", int(self.extension))
 
 
 def _corr_valid_direct(padded: np.ndarray, kernel: np.ndarray, step: int = 1) -> np.ndarray:
@@ -239,8 +233,8 @@ def add_noise(image: Image, sigma: float, seed: int) -> Image:
     with ``seed``; a given (seed, sigma) pair reproduces the output
     bit-identically. sigma = 0 returns the input unchanged.
     """
-    if not (sigma >= 0) or not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    _nonnegative("sigma", sigma)
+    seed = _integer("seed", seed, 0)
     if sigma == 0.0:
         return image
     gen = np.random.Generator(np.random.PCG64(seed))

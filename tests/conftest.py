@@ -1,7 +1,12 @@
 """Shared independent oracles for the scan forward model."""
 
+import math
+
 import numpy as np
 import pytest
+
+# Values every integer parameter rejects, besides minimum - 1.
+NOT_INTEGERS = (math.inf, -math.inf, math.nan, 2.5)
 
 
 def scan_oracle(sample, spot, step, extension, bg=0.0):

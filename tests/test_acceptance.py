@@ -24,7 +24,7 @@ from densescan.grid import Image, Rect
 from densescan.metrics import two_point_contrast
 from densescan.patterns import BarGrid, generate
 from densescan.psf import Gaussian, SpotImage, make_spot
-from densescan.scanner import ScanConfig, simulate_scan
+from densescan.scanner import ScanConfig, ScanOperator, simulate_scan
 
 from conftest import scan_oracle
 
@@ -164,14 +164,15 @@ def test_criterion_06_solver_family_coherence():
     noisy = inter_rl.pixels + 0.05 * rng.standard_normal(inter_rl.pixels.shape)
     mins = []
     for data in (inter_rl.pixels, noisy):
-        _richardson_lucy(data, spot_rl.pixels, 8, 30,
+        _richardson_lucy(ScanOperator(spot_rl.pixels, (64, 64), 8), data, 30,
                          on_iterate=lambda x: mins.append(float(x.min())))
     rl_nonneg = len(mins) == 60 and all(m >= 0.0 for m in mins)
 
     # CGLS on a noiseless 64x64 / 9x9 instance
     spot_cg = make_spot(Gaussian(0.6), 9)
     inter_cg = simulate_scan(sample, spot_cg, ScanConfig(1, 8))
-    _, iters, history = _cgls(inter_cg.pixels, spot_cg.pixels, 8, 1e-10, 500)
+    _, iters, history = _cgls(ScanOperator(spot_cg.pixels, (64, 64), 8), inter_cg.pixels,
+                              1e-10, 500)
     monotone = all(history[i + 1] <= history[i] * (1 + 1e-12)
                    for i in range(len(history) - 1))
     cg_ok = history[-1] <= 1e-10 and iters <= 500 and monotone

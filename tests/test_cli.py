@@ -1,6 +1,6 @@
 import argparse
 import hashlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +173,17 @@ def test_noise_cli_deterministic(tmp_path):
     assert main(["noise", "--input", str(src), "--sigma", "0",
                  "--seed", "5", "-o", str(zero)]) == 0
     assert np.array_equal(load_ddsf(zero).pixels, load_ddsf(src).pixels)
+
+
+@pytest.mark.parametrize("sigma", ["0.1", "0"])
+def test_noise_cli_rejects_negative_seed(tmp_path, capsys, sigma):
+    src = tmp_path / "s.ddsf"
+    save_ddsf(new_image(4, 4, 1.0, 0.0), src)
+    out = tmp_path / "n.ddsf"
+    assert main(["noise", "--input", str(src), "--sigma", sigma, "--seed", "-1",
+                 "-o", str(out)]) == 2
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_deconv_and_compare_roundtrip(tmp_path, capsys):
@@ -571,6 +582,15 @@ def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys, extra):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(path), "-o", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("method", "nope"), ("pgm_depth", 12)])
+def test_run_pipeline_validates_config_built_in_code(tmp_path, key, value):
+    cfg = replace(load_config(write_small_config(tmp_path)), **{key: value})
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=key):
+        run_pipeline(cfg, out)
     assert not out.exists()
 
 

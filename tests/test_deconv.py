@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,15 @@ from densescan.deconv import (
 from densescan.grid import Image, Rect
 from densescan.psf import Disk, Gaussian, SpotImage, make_spot
 from densescan import deconv, scanner
-from densescan.scanner import ConstantBackground, ScanConfig, ZeroBackground, simulate_scan
+from densescan.scanner import (
+    ConstantBackground,
+    ScanConfig,
+    ScanOperator,
+    ZeroBackground,
+    simulate_scan,
+)
 
-from conftest import scan_oracle
+from conftest import NOT_INTEGERS, scan_oracle
 
 
 def forward(sample, spot, ext, method="fft"):
@@ -250,6 +258,24 @@ def test_recover_validation_errors(rng):
         LeastSquaresCG(0.0, 10)
     with pytest.raises(ValueError):
         LeastSquaresCG(1e-8, 0)
+    for value in (*NOT_INTEGERS, -1):
+        with pytest.raises(ValueError, match="iterations"):
+            RichardsonLucy(value)
+        with pytest.raises(ValueError, match="extension"):
+            recover(inter, spot, Rect(0, 0, 32, 32), value, InverseFilter(0.5))
+        with pytest.raises(ValueError, match="extension"):
+            adjoint_apply(inter, spot, Rect(0, 0, 32, 32), value)
+    for value in (*NOT_INTEGERS, 0):
+        with pytest.raises(ValueError, match="max_iterations"):
+            LeastSquaresCG(1e-3, value)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            LeastSquaresCG(value, 10)
+        with pytest.raises(ValueError, match="nsr"):
+            Wiener(value)
+    roi = Rect(0, 0, 32, 32)
+    assert np.array_equal(recover(inter, spot, roi, 8.0, RichardsonLucy(3.0)).recovered.pixels,
+                          recover(inter, spot, roi, 8, RichardsonLucy(3)).recovered.pixels)
 
 
 @pytest.mark.parametrize("request_, zero_bg, constant_bg", [
@@ -297,7 +323,8 @@ def test_rl_nonnegative_iterates_clean_and_noisy(rng):
     noisy = inter.pixels + 0.05 * rng.standard_normal(inter.pixels.shape)
     for y in (inter.pixels, noisy):
         mins = []
-        _richardson_lucy(y, spot.pixels, 6, 25, on_iterate=lambda x: mins.append(x.min()))
+        _richardson_lucy(ScanOperator(spot.pixels, (24, 24), 6), y, 25,
+                         on_iterate=lambda x: mins.append(x.min()))
         assert len(mins) == 25
         assert all(m >= 0.0 for m in mins)
 
@@ -308,7 +335,7 @@ def test_rl_conserves_flux_on_positive_data(rng):
     inter = forward(sample, spot, 6)
     total_y = inter.pixels.sum()
     sums = []
-    _richardson_lucy(inter.pixels, spot.pixels, 6, 20,
+    _richardson_lucy(ScanOperator(spot.pixels, (24, 24), 6), inter.pixels, 20,
                      on_iterate=lambda x: sums.append(x.sum()))
     for s in sums:
         assert abs(s - total_y) <= 1e-3 * total_y
@@ -334,7 +361,7 @@ def test_cgls_converges_noiseless(rng):
     sample = Image(rng.random((48, 48)), 1.0)
     spot = make_spot(Gaussian(0.6), 9)
     inter = forward(sample, spot, 8)
-    x, iters, history = _cgls(inter.pixels, spot.pixels, 8, 1e-10, 500)
+    x, iters, history = _cgls(ScanOperator(spot.pixels, (48, 48), 8), inter.pixels, 1e-10, 500)
     assert history[-1] <= 1e-10
     assert iters == len(history) <= 500
     assert all(history[i + 1] <= history[i] * (1 + 1e-12) for i in range(len(history) - 1))

@@ -18,6 +18,8 @@ from densescan.grid import (
     save_ddsf,
 )
 
+from conftest import NOT_INTEGERS
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 small_images = hnp.arrays(
     np.float64,
@@ -92,6 +94,15 @@ def test_rect_validates_dims():
     Rect(-3, -3, 1, 1)  # negative offsets are fine (scan lattice coords)
     with pytest.raises(ValueError):
         Rect(0, 0, 0, 5)
+    for i, name in enumerate(("x0", "y0", "width", "height")):
+        for value in NOT_INTEGERS + ((0,) if i >= 2 else ()):
+            args = [0, 0, 1, 1]
+            args[i] = value
+            with pytest.raises(ValueError, match=f"Rect\\.{name} "):
+                Rect(*args)
+    rect = Rect(-1.0, 2.0, 3.0, 4.0)
+    assert rect == Rect(-1, 2, 3, 4)
+    assert all(type(v) is int for v in (rect.x0, rect.y0, rect.width, rect.height))
 
 
 # --- pad / crop --------------------------------------------------------------

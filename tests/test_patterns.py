@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from densescan.patterns import (
     SiemensStar,
     generate,
 )
+
+from conftest import NOT_INTEGERS
 
 
 def test_point_pair_exact_layout():
@@ -123,3 +127,25 @@ def test_spec_validation():
         RandomBlobs(0, 3.0, 1)
     with pytest.raises(ValueError):
         RandomBlobs(1, 0.0, 1)
+    for make, name, minimum in ((PointPair, "separation", 1),
+                                (lambda v: BarGrid(v, 0.5), "period", 1),
+                                (SiemensStar, "spokes", 2),
+                                (lambda v: RandomBlobs(v, 3.0, 1), "count", 1)):
+        for value in (*NOT_INTEGERS, minimum - 1):
+            with pytest.raises(ValueError, match=name):
+                make(value)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius"):
+            RandomBlobs(1, value, 1)
+
+
+@pytest.mark.parametrize("spec, as_int, name", [
+    (PointPair(10.0), PointPair(10), "separation"),
+    (BarGrid(8.0, 0.5), BarGrid(8, 0.5), "period"),
+    (SiemensStar(12.0), SiemensStar(12), "spokes"),
+    (RandomBlobs(5.0, 4.0, 42), RandomBlobs(5, 4, 42), "count"),
+], ids=["PointPair", "BarGrid", "SiemensStar", "RandomBlobs"])
+def test_integral_float_parameters_are_coerced(spec, as_int, name):
+    assert type(getattr(spec, name)) is int
+    a = generate(spec, 64, 48, 1.0).pixels
+    assert np.array_equal(a, generate(as_int, 64, 48, 1.0).pixels)

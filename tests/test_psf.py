@@ -17,6 +17,8 @@ from densescan.psf import (
     make_spot,
 )
 
+from conftest import NOT_INTEGERS
+
 # Values frozen from the power-series oracle
 #   J1(x) = sum_m (-1)^m (x/2)^(2m+1) / (m! (m+1)!)
 # summed to convergence at 50-digit precision (see j1_series below).
@@ -188,12 +190,23 @@ def test_spot_profile_validation():
         Disk(-1.0)
     with pytest.raises(ValueError):
         AiryCore(float("nan"))
+    for make, name in ((AiryCore, "first_zero_radius"), (Gaussian, "sigma"), (Disk, "radius")):
+        for value in (float("inf"), float("nan"), 0.0):
+            with pytest.raises(ValueError, match=f"{name} must be > 0"):
+                make(value)
 
 
-@pytest.mark.parametrize("side", [0, 2, 100])
+@pytest.mark.parametrize("side", [0, 2, 100, *NOT_INTEGERS])
 def test_make_spot_rejects_even_or_empty_side(side):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="spot side"):
         make_spot(Gaussian(1.0), side)
+
+
+def test_integral_float_side_is_coerced():
+    assert np.array_equal(make_spot(Gaussian(1.0), 5.0).pixels,
+                          make_spot(Gaussian(1.0), 5).pixels)
+    assert np.array_equal(make_microscope_psf(2.0, 5.0).pixels,
+                          make_microscope_psf(2.0, 5).pixels)
 
 
 def test_make_spot_rejects_oversized_support():
@@ -281,6 +294,9 @@ def test_microscope_psf_point_symmetry_and_normalization():
 def test_microscope_psf_rejects_even_side():
     with pytest.raises(ValueError):
         make_microscope_psf(10.0, 40)
+    for side in (*NOT_INTEGERS, 0):
+        with pytest.raises(ValueError, match="psf side"):
+            make_microscope_psf(10.0, side)
 
 
 # --- octant evaluation ----------------------------------------------------------

@@ -18,7 +18,7 @@ from densescan.scanner import (
     widefield_blur,
 )
 
-from conftest import conv_lattice_oracle, scan_oracle
+from conftest import NOT_INTEGERS, conv_lattice_oracle, scan_oracle
 
 
 def random_spot(rng, side):
@@ -66,6 +66,14 @@ def test_scan_config_validation():
         ConstantBackground(-1.0)
     with pytest.raises(ValueError):
         ConstantBackground(float("inf"))
+    with pytest.raises(ValueError, match="background level"):
+        ConstantBackground(float("nan"))
+    for value in (*NOT_INTEGERS, 0):
+        with pytest.raises(ValueError, match="step"):
+            ScanConfig(value, 0)
+    for value in (*NOT_INTEGERS, -1):
+        with pytest.raises(ValueError, match="extension"):
+            ScanConfig(1, value)
 
 
 # --- forward model vs oracles --------------------------------------------------
@@ -370,3 +378,15 @@ def test_noise_folded_mean():
 def test_noise_rejects_negative_sigma():
     with pytest.raises(ValueError):
         add_noise(new_image(2, 2, 1.0, 0.0), -0.1, 1)
+    for sigma in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="sigma"):
+            add_noise(new_image(2, 2, 1.0, 0.0), sigma, 1)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_noise_checks_seed_at_any_sigma(sigma):
+    im = new_image(4, 4, 1.0, 0.0)
+    for seed in (*NOT_INTEGERS, -1):
+        with pytest.raises(ValueError, match="seed"):
+            add_noise(im, sigma, seed)
+    assert np.array_equal(add_noise(im, sigma, 42.0).pixels, add_noise(im, sigma, 42).pixels)
