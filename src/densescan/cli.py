@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .deconv import InverseFilter, LeastSquaresCG, RichardsonLucy, Wiener, recover
-from .grid import (FormatError, Image, Rect, _integer, _nonnegative, _positive, crop,
-                   export_pgm, load_ddsf, save_ddsf)
+from .grid import (FormatError, Image, Rect, _integer, _positive, crop, export_pgm,
+                   load_ddsf, save_ddsf)
 from .metrics import CSV_HEADER, compare, two_point_contrast
 from .patterns import BarGrid, PointPair, RandomBlobs, SiemensStar, generate
 from .psf import AiryCore, Disk, Gaussian, SpotImage, make_microscope_psf, make_spot
@@ -128,7 +128,9 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     Unknown keys and conversion failures raise ConfigError. A value is
     parsed by its field's ``parse`` metadata, else by the field's type;
-    keys not present keep their defaults.
+    keys not present keep their defaults. Names, ``pgm_depth`` and
+    ``step`` are checked here; the stages check every other value when
+    :func:`run_pipeline` builds them.
     """
     try:
         text = Path(path).read_text()
@@ -155,6 +157,8 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def _validate_config(cfg: PipelineConfig) -> None:
+    # Only what no stage checks before the first write: the name lookups (a miss is a
+    # KeyError), pgm_depth (export_pgm checks it after expected.ddsf exists) and step.
     for key, names in (("pattern", PATTERNS), ("spot_profile", PROFILES),
                        ("method", SOLVERS), ("scan_method", SCAN_METHODS)):
         if getattr(cfg, key) not in names:
@@ -163,19 +167,6 @@ def _validate_config(cfg: PipelineConfig) -> None:
         raise ConfigError(f"pgm_depth must be 8 or 16, got {cfg.pgm_depth}")
     if cfg.step != 1:
         raise ConfigError("the pipeline harness requires step = 1 (dense scan)")
-    # Checking the noise keys here, and building the chosen pattern, spot, scan and
-    # solver (which check their own), reports a bad value before any output is written.
-    try:
-        _integer("noise_seed", cfg.noise_seed, 0)
-        _nonnegative("noise_sigma", cfg.noise_sigma)
-        for sigma in cfg.noise_sweep:
-            _nonnegative("noise_sweep", sigma)
-        PATTERNS[cfg.pattern](cfg)
-        build_spot(cfg)
-        ScanConfig(cfg.step, cfg.extension, cfg.background)
-        SOLVERS[cfg.method](cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def config_text(cfg: PipelineConfig) -> str:
@@ -226,25 +217,45 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
     metrics.csv (three comparisons), run_config.txt, and, when the config
     lists ``noise_sweep`` sigmas, noise_sweep.csv with one recovery row
     per sigma (each injected into the clean intermediate at the fixed
-    noise seed). A bad config raises ConfigError before anything is written.
+    noise seed). Every stage is built and every result computed before
+    the first file is written: each value is checked by the stage that
+    uses it, so a bad one raises ConfigError with no output written.
     """
     _validate_config(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
 
-    expected = build_target(cfg)
-    spot = build_spot(cfg)
-    scan_cfg = ScanConfig(cfg.step, cfg.extension, cfg.background)
-    clean_intermediate = simulate_scan(expected, spot, scan_cfg, cfg.scan_method)
-    intermediate = clean_intermediate
-    if cfg.noise_sigma > 0:
+    try:
+        # the cheap constructors first, so their bad values fail fast
+        request = SOLVERS[cfg.method](cfg)
+        spot = build_spot(cfg)
+
+        expected = build_target(cfg)
+        scan_cfg = ScanConfig(cfg.step, cfg.extension, cfg.background)
+        clean_intermediate = simulate_scan(expected, spot, scan_cfg, cfg.scan_method)
+        # sigma 0 returns the input; the seed is checked even then
         intermediate = add_noise(clean_intermediate, cfg.noise_sigma, cfg.noise_seed)
 
-    microscope = make_microscope_psf(cfg.microscope_radius, cfg.microscope_side, cfg.pitch)
-    conventional = widefield_blur(expected, microscope)
+        microscope = make_microscope_psf(cfg.microscope_radius, cfg.microscope_side, cfg.pitch)
+        conventional = widefield_blur(expected, microscope)
 
-    roi = Rect(0, 0, cfg.roi_width, cfg.roi_height)
-    request = SOLVERS[cfg.method](cfg)
-    result = recover(intermediate, spot, roi, cfg.extension, request, cfg.background)
+        roi = Rect(0, 0, cfg.roi_width, cfg.roi_height)
+        result = recover(intermediate, spot, roi, cfg.extension, request, cfg.background)
+
+        window = Rect(cfg.extension, cfg.extension, cfg.roi_width, cfg.roi_height)
+        reports = {
+            "conventional_vs_expected": compare(conventional, expected),
+            "intermediate_crop_vs_expected": compare(crop(intermediate, window), expected),
+            "recovered_vs_expected": compare(result.recovered, expected),
+        }
+
+        # one (sigma, report) per noise_sweep entry, so a repeated sigma keeps its row
+        sweep = []
+        for sigma in cfg.noise_sweep:
+            noisy = add_noise(clean_intermediate, sigma, cfg.noise_seed)
+            swept = recover(noisy, spot, roi, cfg.extension, request, cfg.background)
+            sweep.append((sigma, compare(swept.recovered, expected)))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     images = {
         "expected": expected,
@@ -256,36 +267,21 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
     for name, image in images.items():
         save_ddsf(image, out / f"{name}.ddsf")
         export_pgm(image, out / f"{name}.pgm", cfg.pgm_depth)
-
-    window = Rect(cfg.extension, cfg.extension, cfg.roi_width, cfg.roi_height)
-    reports = {
-        "conventional_vs_expected": compare(conventional, expected),
-        "intermediate_crop_vs_expected": compare(crop(intermediate, window), expected),
-        "recovered_vs_expected": compare(result.recovered, expected),
-    }
     with open(out / "metrics.csv", "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for label, report in reports.items():
             fh.write(report.csv_row(label) + "\n")
-
-    sweep_reports = {}
-    if cfg.noise_sweep:
+    if sweep:
         with open(out / "noise_sweep.csv", "w") as fh:
             fh.write(CSV_HEADER + "\n")
-            for sigma in cfg.noise_sweep:
-                noisy = add_noise(clean_intermediate, sigma, cfg.noise_seed)
-                res = recover(noisy, spot, roi, cfg.extension, request, cfg.background)
-                report = compare(res.recovered, expected)
-                label = f"recovered_vs_expected[sigma={sigma:g}]"
-                sweep_reports[sigma] = report
-                fh.write(report.csv_row(label) + "\n")
-
+            for sigma, report in sweep:
+                fh.write(report.csv_row(f"recovered_vs_expected[sigma={sigma:g}]") + "\n")
     (out / "run_config.txt").write_text(config_text(cfg))
     return {
         "out_dir": out,
         "images": images,
         "reports": reports,
-        "sweep_reports": sweep_reports,
+        "sweep_reports": dict(sweep),
         "result": result,
     }
 
@@ -300,6 +296,7 @@ def _cmd_gen_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_spot(args: argparse.Namespace) -> int:
+    _integer("spot side", args.spot_side, 1)  # before the defaults below derive from it
     if args.spot_sigma is None:
         args.spot_sigma = args.spot_side / 6.0
     if args.spot_radius is None:

@@ -111,11 +111,11 @@ class Rect:
 def new_image(width: int, height: int, pitch: float, fill: float = 0.0) -> Image:
     """Create a constant-filled image.
 
-    Raises ValueError for non-positive dimensions or pitch, or a
-    non-finite fill value.
+    Raises ValueError for dimensions that are not integers >= 1, a
+    non-positive pitch, or a non-finite fill value.
     """
-    if width < 1 or height < 1:
-        raise ValueError(f"image dimensions must be >= 1, got {width}x{height}")
+    width = _integer("width", width, 1)
+    height = _integer("height", height, 1)
     if not np.isfinite(fill):
         raise ValueError(f"fill must be finite, got {fill}")
     return Image(np.full((height, width), float(fill)), pitch)
@@ -127,8 +127,7 @@ def pad(image: Image, border: int, value: float = 0.0) -> Image:
     The interior is copied bit-exactly; output dims grow by 2*border per
     axis. border = 0 returns an identical image.
     """
-    if border < 0:
-        raise ValueError(f"border must be >= 0, got {border}")
+    border = _integer("border", border, 0)
     if border == 0:
         return Image(image.pixels, image.pitch)
     out = np.pad(image.pixels, border, mode="constant", constant_values=float(value))

@@ -120,8 +120,8 @@ def generate(spec: PatternSpec, width: int, height: int, pitch: float) -> Image:
 
     Raises ValueError when the requested geometry exceeds the canvas.
     """
-    if width < 1 or height < 1:
-        raise ValueError(f"canvas dimensions must be >= 1, got {width}x{height}")
+    width = _integer("width", width, 1)
+    height = _integer("height", height, 1)
     if not isinstance(spec, PatternSpec):
         raise ValueError(f"unknown pattern spec {spec!r}")
     return Image(spec.render(width, height), pitch)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from densescan import cli
 from densescan.cli import (
     ConfigError,
     PipelineConfig,
@@ -19,7 +20,7 @@ from densescan.cli import (
 )
 from densescan.grid import load_ddsf, new_image, save_ddsf
 from densescan.metrics import CSV_HEADER
-from densescan.psf import SpotImage
+from densescan.psf import SpotImage, make_spot
 
 SMALL_CONFIG = """
 # compact harness instance for fast end-to-end checks
@@ -404,6 +405,19 @@ def test_pipeline_noise_sweep_csv(tmp_path):
     assert errs[0] < errs[1] < errs[2]
 
 
+def test_pipeline_noise_sweep_repeated_sigma_keeps_each_row(tmp_path):
+    sweep_path = tmp_path / "sweep.txt"
+    sweep_path.write_text(SMALL_CONFIG + "noise_sweep = 0 1e-6 1e-6\n")
+    run = run_pipeline(load_config(sweep_path), tmp_path / "sweep")
+    lines = (tmp_path / "sweep" / "noise_sweep.csv").read_text().strip().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "recovered_vs_expected[sigma=0]", "recovered_vs_expected[sigma=1e-06]",
+        "recovered_vs_expected[sigma=1e-06]"]
+    assert lines[2] == lines[3]
+    assert sorted(run["sweep_reports"]) == [0.0, 1e-6]
+
+
 def test_default_config_is_valid():
     cfg = PipelineConfig()
     assert cfg.roi_width == cfg.roi_height == 300
@@ -585,13 +599,32 @@ def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys, extra):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("method", "nope"), ("pgm_depth", 12)])
-def test_run_pipeline_validates_config_built_in_code(tmp_path, key, value):
-    cfg = replace(load_config(write_small_config(tmp_path)), **{key: value})
+@pytest.mark.parametrize("overrides, message", [
+    ({"method": "nope"}, "method"),
+    ({"pgm_depth": 12}, "pgm_depth"),
+    ({"microscope_side": 4}, "psf side"),
+    ({"roi_width": 0}, "width"),
+    ({"spot_side": 15, "extension": 6, "method": "inverse"}, "spectral methods need extension"),
+], ids=["method-nope", "pgm_depth-12", "microscope_side-4", "roi_width-0", "extension-6"])
+def test_run_pipeline_validates_config_built_in_code(tmp_path, overrides, message):
+    cfg = replace(load_config(write_small_config(tmp_path)), **overrides)
     out = tmp_path / "run"
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=message):
         run_pipeline(cfg, out)
     assert not out.exists()
+
+
+def test_pipeline_synthesizes_the_spot_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_make_spot(*args):
+        calls.append(args)
+        return make_spot(*args)
+
+    monkeypatch.setattr(cli, "make_spot", counting_make_spot)
+    path = write_small_config(tmp_path)
+    assert main(["pipeline", "--config", str(path), "-o", str(tmp_path / "run")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -602,7 +635,17 @@ def test_pipeline_failing_run_creates_no_directory(tmp_path, capsys, extra, mess
     path = write_small_config(tmp_path, extra)
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(path), "-o", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "config error" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("profile, side", [("gaussian", "0"), ("airy", "-3")])
+def test_gen_spot_rejects_bad_side_as_the_side(tmp_path, capsys, profile, side):
+    out = tmp_path / "spot.ddsf"
+    assert main(["gen-spot", "--profile", profile, "--side", side, "-o", str(out)]) == 2
+    assert "spot side must be an integer >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -72,6 +72,18 @@ def test_new_image_invalid_arguments(args):
         new_image(*args)
 
 
+def test_new_image_and_pad_name_bad_integers():
+    image = new_image(2, 2, 1.0)
+    for value in NOT_INTEGERS + (0,):
+        with pytest.raises(ValueError, match="^width "):
+            new_image(value, 3, 0.1)
+        with pytest.raises(ValueError, match="^height "):
+            new_image(3, value, 0.1)
+    for value in NOT_INTEGERS + (-1,):
+        with pytest.raises(ValueError, match="^border "):
+            pad(image, value)
+
+
 def test_image_rejects_non_finite_data():
     data = np.ones((2, 2))
     data[0, 1] = np.nan

@@ -130,7 +130,9 @@ def test_spec_validation():
     for make, name, minimum in ((PointPair, "separation", 1),
                                 (lambda v: BarGrid(v, 0.5), "period", 1),
                                 (SiemensStar, "spokes", 2),
-                                (lambda v: RandomBlobs(v, 3.0, 1), "count", 1)):
+                                (lambda v: RandomBlobs(v, 3.0, 1), "count", 1),
+                                (lambda v: generate(PointPair(2), v, 10, 1.0), "width", 1),
+                                (lambda v: generate(PointPair(2), 10, v, 1.0), "height", 1)):
         for value in (*NOT_INTEGERS, minimum - 1):
             with pytest.raises(ValueError, match=name):
                 make(value)
