@@ -235,10 +235,20 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
         # sigma 0 returns the input; the seed is checked even then
         intermediate = add_noise(clean_intermediate, cfg.noise_sigma, cfg.noise_seed)
 
+        roi = Rect(0, 0, cfg.roi_width, cfg.roi_height)
+        # one (sigma, report) per noise_sweep entry, so a repeated sigma keeps its row
+        sweep = []
+        for sigma in cfg.noise_sweep:
+            try:
+                noisy = add_noise(clean_intermediate, sigma, cfg.noise_seed)
+            except ValueError as exc:
+                raise ValueError(f"noise_sweep: {exc}") from exc
+            swept = recover(noisy, spot, roi, cfg.extension, request, cfg.background)
+            sweep.append((sigma, compare(swept.recovered, expected)))
+
         microscope = make_microscope_psf(cfg.microscope_radius, cfg.microscope_side, cfg.pitch)
         conventional = widefield_blur(expected, microscope)
 
-        roi = Rect(0, 0, cfg.roi_width, cfg.roi_height)
         result = recover(intermediate, spot, roi, cfg.extension, request, cfg.background)
 
         window = Rect(cfg.extension, cfg.extension, cfg.roi_width, cfg.roi_height)
@@ -247,13 +257,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
             "intermediate_crop_vs_expected": compare(crop(intermediate, window), expected),
             "recovered_vs_expected": compare(result.recovered, expected),
         }
-
-        # one (sigma, report) per noise_sweep entry, so a repeated sigma keeps its row
-        sweep = []
-        for sigma in cfg.noise_sweep:
-            noisy = add_noise(clean_intermediate, sigma, cfg.noise_seed)
-            swept = recover(noisy, spot, roi, cfg.extension, request, cfg.background)
-            sweep.append((sigma, compare(swept.recovered, expected)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -290,6 +293,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
 # subcommand handlers
 
 def _cmd_gen_sample(args: argparse.Namespace) -> int:
+    _integer("size", args.size, 1)  # under its own name, not as generate's width
     image = generate(PATTERNS[args.pattern](args), args.size, args.size, args.pitch)
     save_ddsf(image, args.output)
     return 0

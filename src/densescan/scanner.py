@@ -20,8 +20,8 @@ the default blur), bitwise equal to ``irfft2`` and crop. The spectral
 solvers in :mod:`densescan.deconv` divide on the intermediate's exact
 grid instead; see there. The wide-field blur is the same map with the
 flipped PSF and no extension, cropped to the 2(N - 1) + 1 taps that can
-meet an N-px sample. The ``direct`` path accumulates taps in a fixed
-order at only the sites it keeps and is the bit-reproducible reference.
+meet an N-px sample. ``auto`` and ``fft`` run it; ``direct``, the
+bit-reproducible reference, sums taps in a fixed order at kept sites.
 
 Lattice convention: sites per axis are c_i = -extension + (step-1)//2 +
 i*step for i in range(floor((N + 2*extension)/step)); footprints are
@@ -164,13 +164,10 @@ def _scan_field(sample: np.ndarray, kernel: np.ndarray, extension: int,
                 level: float, method: str, step: int = 1) -> np.ndarray:
     """Correlation of the level-extended sample with ``kernel`` at every
     ``step``-th lattice site."""
-    out_h, out_w = sample.shape[0] + 2 * extension, sample.shape[1] + 2 * extension
-    if method == "auto":
-        method = "direct" if kernel.size * out_h * out_w < 2_000_000 else "fft"
-    if method == "fft":
+    if method in ("fft", "auto"):
         off = (step - 1) // 2
         dense = ScanOperator(kernel, sample.shape, extension).forward(sample, level)
-        return dense[off::step, off::step][: out_h // step, : out_w // step]
+        return dense[off::step, off::step][: dense.shape[0] // step, : dense.shape[1] // step]
     if method == "direct":
         pad = extension + kernel.shape[0] // 2
         return _corr_valid_direct(np.pad(sample, pad, constant_values=level), kernel, step)
@@ -192,9 +189,9 @@ def simulate_scan(sample: Image, spot: SpotImage, config: ScanConfig,
     at its lattice site; the extended sample equals the background level
     outside the sample bounds. Output pitch is sample pitch times step.
 
-    method selects the computation path: "fft" (fast, through
-    :class:`ScanOperator`), "direct" (vectorized row-major accumulation,
-    the bit-reproducible reference) or "auto".
+    method selects the computation path: "auto" (the default) or "fft"
+    runs :class:`ScanOperator`; "direct" (vectorized row-major
+    accumulation) is the bit-reproducible reference.
     """
     out_w, out_h = scan_dims(sample.width, sample.height, config)
     if out_w < 1 or out_h < 1:
@@ -214,6 +211,7 @@ def widefield_blur(sample: Image, microscope_psf: Image, method: str = "auto") -
     The PSF must be square with an odd side. Only its central window is
     read: taps over max(H, W) - 1 px from the center never meet the
     sample, so dropping them changes no output (bitwise on ``direct``).
+    method is as for :func:`simulate_scan`.
     """
     psf = microscope_psf.pixels
     if psf.shape[0] != psf.shape[1]:

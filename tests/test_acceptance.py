@@ -95,7 +95,7 @@ def test_criterion_03_oracle_equivalence():
         ext = int(rng.integers(0, side))
         sample = Image(rng.random((nh, nw)), 1.0)
         spot = random_spot(rng, side)
-        method = "fft" if i % 5 == 0 else "auto"
+        method = "fft" if i % 5 == 0 else "direct"
         got = simulate_scan(sample, spot, ScanConfig(1, ext), method=method)
         want = scan_oracle(sample.pixels, spot.pixels, 1, ext)
         worst = max(worst, float(np.max(np.abs(got.pixels - want))))

@@ -20,7 +20,7 @@ from densescan.cli import (
 )
 from densescan.grid import load_ddsf, new_image, save_ddsf
 from densescan.metrics import CSV_HEADER
-from densescan.psf import SpotImage, make_spot
+from densescan.psf import SpotImage, make_microscope_psf, make_spot
 
 SMALL_CONFIG = """
 # compact harness instance for fast end-to-end checks
@@ -638,6 +638,31 @@ def test_pipeline_failing_run_creates_no_directory(tmp_path, capsys, extra, mess
     err = capsys.readouterr().err
     assert message in err
     assert "config error" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), -1.0], ids=["nan", "-1"])
+def test_bad_noise_sweep_fails_before_the_microscope_psf(tmp_path, monkeypatch, sigma):
+    calls = []
+
+    def counting_make_microscope_psf(*args):
+        calls.append(args)
+        return make_microscope_psf(*args)
+
+    monkeypatch.setattr(cli, "make_microscope_psf", counting_make_microscope_psf)
+    cfg = replace(load_config(write_small_config(tmp_path)), noise_sweep=(sigma,))
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="^noise_sweep: sigma must be finite and >= 0"):
+        run_pipeline(cfg, out)
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_gen_sample_rejects_bad_size_as_the_size(tmp_path, capsys, size):
+    out = tmp_path / "sample.ddsf"
+    assert main(["gen-sample", "--pattern", "bar-grid", "--size", size, "-o", str(out)]) == 2
+    assert "size must be an integer >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

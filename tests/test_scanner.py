@@ -287,15 +287,39 @@ def test_operator_adjoint_dot_test(shape, side, ext):
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
+@pytest.mark.parametrize("step", [1, 15])
+@pytest.mark.parametrize("background", [ZeroBackground(), ConstantBackground(0.25)],
+                         ids=["zero", "constant"])
+def test_default_scan_is_the_fft_operator(step, background):
+    # the cli_stages benchmark geometry: a 64 px sample, a 15 px spot, extension 14
+    sample = Image(np.random.default_rng(17).random((64, 64)), 0.1)
+    spot = make_spot(Gaussian(2.5), 15, 0.1)
+    config = ScanConfig(step, 14, background)
+    default = simulate_scan(sample, spot, config)
+    assert np.array_equal(default.pixels, simulate_scan(sample, spot, config, "fft").pixels)
+    assert default.pitch == sample.pitch * step
+
+
+@pytest.mark.parametrize("psf", [make_microscope_psf(5.0, 11), Image(np.ones((1, 1)), 1.0)],
+                         ids=["airy-11", "identity"])
+def test_default_blur_is_the_fft_operator(psf):
+    sample = Image(np.random.default_rng(18).random((64, 64)), 1.0)
+    default = widefield_blur(sample, psf).pixels
+    assert np.array_equal(default, widefield_blur(sample, psf, "fft").pixels)
+
+
 # --- widefield blur ------------------------------------------------------------
 
 def test_widefield_identity_kernel():
     rng = np.random.default_rng(3)
     sample = Image(rng.random((12, 15)), 0.5)
     psf = Image(np.array([[1.0]]), 0.5)
-    out = widefield_blur(sample, psf)
+    out = widefield_blur(sample, psf, "direct")
     assert np.array_equal(out.pixels, sample.pixels)
     assert out.pitch == sample.pitch
+    default = widefield_blur(sample, psf)
+    assert np.max(np.abs(default.pixels - sample.pixels)) <= 1e-15
+    assert default.pitch == sample.pitch
 
 
 def test_widefield_constant_interior():
