@@ -6,6 +6,7 @@ configuration error.
 """
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -477,10 +478,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The tree ``main`` parses with, built on first use; handlers change only their namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

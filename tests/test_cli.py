@@ -20,7 +20,7 @@ from densescan.cli import (
 )
 from densescan.grid import load_ddsf, new_image, save_ddsf
 from densescan.metrics import CSV_HEADER
-from densescan.psf import SpotImage, make_microscope_psf, make_spot
+from densescan.psf import AiryCore, Gaussian, SpotImage, make_microscope_psf, make_spot
 
 SMALL_CONFIG = """
 # compact harness instance for fast end-to-end checks
@@ -712,3 +712,51 @@ DEFAULT_CONFIG_TEXT = "\n".join([
 
 def test_default_config_text_is_pinned():
     assert config_text(PipelineConfig()) == DEFAULT_CONFIG_TEXT
+
+
+# --- one parser per process ----------------------------------------------------------
+
+@pytest.mark.parametrize("profile, derived", [
+    ("gaussian", Gaussian(31 / 6)),
+    ("airy", AiryCore(15)),
+], ids=["gaussian", "airy"])
+def test_gen_spot_derived_default_does_not_leak_between_calls(tmp_path, profile, derived):
+    # main reuses its parser: the --sigma/--radius the side-7 call derives must not
+    # become the default of the next call, which omits them too
+    small, out, ref = tmp_path / "small.ddsf", tmp_path / "spot.ddsf", tmp_path / "ref.ddsf"
+    assert main(["gen-spot", "--profile", profile, "--side", "7", "-o", str(small)]) == 0
+    assert main(["gen-spot", "--profile", profile, "--side", "31", "-o", str(out)]) == 0
+    save_ddsf(make_spot(derived, 31, 0.1).image, ref)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_usage_error_then_valid_call(tmp_path, capsys):
+    out = tmp_path / "s.ddsf"
+    assert main(["gen-sample", "--pattern", "bar-grid", "-o", str(out)]) == 2
+    assert "--size" in capsys.readouterr().err
+    assert main(["gen-sample", "--pattern", "bar-grid", "--size", "16", "-o", str(out)]) == 0
+    assert load_ddsf(out).width == 16
+
+
+def test_help_twice_prints_the_same(capsys):
+    assert main(["--help"]) == 0
+    first = capsys.readouterr().out
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == first
+    assert first.startswith("usage: densescan")
+
+
+def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
+    assert main(["gen-sample", "--pattern", "bar-grid", "--size", "8",
+                 "-o", str(tmp_path / "a.ddsf")]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["gen-sample", "--pattern", "bar-grid", "--size", "8",
+                 "-o", str(tmp_path / "b.ddsf")]) == 0
+    assert built == []
