@@ -70,7 +70,7 @@ class PipelineConfig:
     inset_clear_half: int = 30
     spot_profile: str = "gaussian"
     spot_side: int = 101
-    # sigma 47.0 keeps the spot-spectrum floor above the 1e-9 inverse
+    # sigma 47.0 puts the spot-spectrum floor min|H|/max|H| at 1.11e-8, above the 1e-9 inverse
     # threshold; tests/test_deconv.py::test_default_spectral_floor_above_threshold.
     spot_sigma: float = 47.0
     spot_radius: float = 50.0
@@ -180,30 +180,35 @@ def config_text(cfg: PipelineConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _inset(cfg: PipelineConfig) -> tuple[int, int, int, int]:
+    """The checked inset (separation, center x, center y, clear half-width)."""
+    return (_integer("inset_pair_separation", cfg.inset_pair_separation, 0),
+            _integer("inset_center_x", cfg.inset_center_x),
+            _integer("inset_center_y", cfg.inset_center_y),
+            _integer("inset_clear_half", cfg.inset_clear_half, 0))
+
+
 def inset_pair_points(cfg: PipelineConfig) -> tuple[tuple[int, int], tuple[int, int]]:
     """(x, y) coordinates of the two inset impulses, in sample pixels."""
-    sep = cfg.inset_pair_separation
-    x1 = cfg.inset_center_x - sep // 2
-    return (x1, cfg.inset_center_y), (x1 + sep, cfg.inset_center_y)
+    sep, cx, cy, _ = _inset(cfg)
+    return (cx - sep // 2, cy), (cx + sep - sep // 2, cy)
 
 
 def build_target(cfg: PipelineConfig) -> Image:
     """The harness ground truth: the base pattern, optionally with a
     cleared box holding a two-impulse resolution probe."""
     image = generate(PATTERNS[cfg.pattern](cfg), cfg.roi_width, cfg.roi_height, cfg.pitch)
-    if cfg.inset_pair_separation <= 0:
+    sep, cx, cy, half = _inset(cfg)
+    if sep == 0:
         return image
-    half = cfg.inset_clear_half
-    cx, cy = cfg.inset_center_x, cfg.inset_center_y
     if cx - half < 0 or cy - half < 0 or cx + half >= cfg.roi_width or cy + half >= cfg.roi_height:
         raise ConfigError("inset clear box exceeds the canvas")
-    if cfg.inset_pair_separation // 2 > half or cfg.inset_pair_separation > 2 * half:
+    if sep > 2 * half:
         raise ConfigError("inset pair separation exceeds the cleared box")
     data = image.pixels.copy()
     data[cy - half : cy + half + 1, cx - half : cx + half + 1] = 0.0
     (x1, y1), (x2, y2) = inset_pair_points(cfg)
-    data[y1, x1] = 1.0
-    data[y2, x2] = 1.0
+    data[y1, x1] = data[y2, x2] = 1.0
     return Image(data, cfg.pitch)
 
 
@@ -320,6 +325,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_blur(args: argparse.Namespace) -> int:
+    if args.psf is not None and args.microscope_side is not None:
+        raise ValueError("--psf-side sizes a generated PSF; it cannot be used with --psf")
     sample = load_ddsf(args.sample)
     if args.psf is not None:
         psf = load_ddsf(args.psf)
@@ -464,10 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contrast", help="two-point dip contrast")
     p.add_argument("--input", required=True)
-    p.add_argument("--x1", type=int, required=True)
-    p.add_argument("--y1", type=int, required=True)
-    p.add_argument("--x2", type=int, required=True)
-    p.add_argument("--y2", type=int, required=True)
+    for flag in ("--x1", "--y1", "--x2", "--y2"):
+        p.add_argument(flag, type=int, required=True)
     p.set_defaults(func=_cmd_contrast)
 
     p = sub.add_parser("pipeline", help="run the full harness from a config file")

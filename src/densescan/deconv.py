@@ -5,7 +5,7 @@ zero-background scan :class:`~densescan.scanner.ScanOperator` (the
 intermediate image is the correlation of the zero-extended sample with
 the spot). Each request class solves in its own ``solve(op, y)``:
 
-* InverseFilter  - spectral division by the spot's transfer (below),
+* InverseFilter  - spectral division by the spot's transfer,
   with hard thresholding of small spot-spectrum magnitudes;
 * Wiener         - Tikhonov-style damped spectral division;
 * RichardsonLucy - multiplicative maximum-likelihood iteration using the
@@ -17,15 +17,12 @@ the spot). Each request class solves in its own ``solve(op, y)``:
 background's forward response (so every solver sees the zero-background
 model) and calls ``solve``.
 
-The spectral pair divides the intermediate's rFFT by the spot's transfer
-on the intermediate's own grid, N + 2 * extension per axis: only there
-is the intermediate's spectrum exactly that transfer times the sample's,
-and only when extension >= spot_side // 2; smaller extensions crop the
-correlation and are left to the iterative solvers. A grid rounded up to
-a fast FFT length would also move the spectral floor min|H|/max|H| that
-the default threshold is set against. RL and CGLS apply the operator on
-its own minimal 5-smooth grid; it transforms the spot on first use, so a
-zero-background spectral solve does that only on the intermediate's grid.
+All four solvers share the operator's kernel embedding and FFT grid: the
+spectral pair divides by its transfer, exact when extension >=
+spot_side // 2 (smaller extensions crop the correlation and are left to
+the iterative solvers); RL and CGLS apply it and its adjoint. Sites
+farther than spot_side // 2 from the sample carry no sample information;
+only RL's start value and CGLS's residual norm read them.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import numpy as np
 
 from .grid import Image, Rect, _integer, _nonnegative, _positive
 from .psf import SpotImage
-from .scanner import Background, ScanOperator, ZeroBackground, _transfer
+from .scanner import Background, ScanOperator, ZeroBackground
 
 _RL_DIVISION_GUARD = 1e-12
 
@@ -47,12 +44,9 @@ class _SpectralSolve:
     def solve(self, op: ScanOperator, y: np.ndarray) -> tuple[np.ndarray, int, float]:
         ctr = op.spot.shape[0] // 2
         if op.extension < ctr:
-            raise ValueError(
-                f"spectral methods need extension >= {ctr} (half the spot side), "
-                f"got {op.extension}"
-            )
-        h = _spectral_transfer(op.spot, y.shape, op.extension)
-        return np.fft.irfft2(self._divide(h, np.fft.rfft2(y)), y.shape), 0, 0.0
+            raise ValueError(f"spectral methods need extension >= {ctr} "
+                             f"(half the spot side), got {op.extension}")
+        return op.deconvolve(y, self._divide), 0, 0.0
 
 
 @dataclass(frozen=True)
@@ -164,11 +158,6 @@ def _checked_operator(y: np.ndarray, spot: np.ndarray, extension: int,
 
 def _crop(field: np.ndarray, roi: Rect) -> np.ndarray:
     return field[roi.y0 : roi.y0 + roi.height, roi.x0 : roi.x0 + roi.width]
-
-
-def _spectral_transfer(spot: np.ndarray, shape: tuple[int, int], extension: int) -> np.ndarray:
-    """The transfer the spectral pair divides by; see the module docstring."""
-    return _transfer(spot, shape, extension - spot.shape[0] // 2)
 
 
 def adjoint_apply(image: Image, spot: SpotImage, roi: Rect, extension: int) -> Image:

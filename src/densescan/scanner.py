@@ -9,7 +9,7 @@ field, so usual-scan outputs are bit-identical to subsampled dense-scan
 outputs by construction.
 
 That correlation is one linear map, :class:`ScanOperator`, used by the
-fft scan, the iterative solvers and the wide-field blur. Only the
+fft scan, all four solvers and the wide-field blur. Only the
 N + spot_side - 1 sites per axis whose footprint meets an N-px sample
 can be nonzero, so it computes the linear correlation on a circular grid
 of the next 5-smooth (fast FFT) length >= N + spot_side - 1 per axis,
@@ -17,11 +17,11 @@ where the circular product is exact, and writes it into a zero lattice
 (or crops it, when extension < spot_side // 2): the zero border is exact.
 Its inverse FFT transforms back only the rows it keeps (300 of 900 in
 the default blur), bitwise equal to ``irfft2`` and crop. The spectral
-solvers in :mod:`densescan.deconv` divide on the intermediate's exact
-grid instead; see there. The wide-field blur is the same map with the
-flipped PSF and no extension, cropped to the 2(N - 1) + 1 taps that can
-meet an N-px sample. ``auto`` and ``fft`` run it; ``direct``, the
-bit-reproducible reference, sums taps in a fixed order at kept sites.
+solvers divide by its transfer (:meth:`~ScanOperator.deconvolve`). The
+wide-field blur is the same map with the flipped PSF and no extension,
+cropped to the 2(N - 1) + 1 taps that can meet an N-px sample. ``auto``
+and ``fft`` run it; ``direct``, the bit-reproducible reference, sums
+taps in a fixed order at kept sites.
 
 Lattice convention: sites per axis are c_i = -extension + (step-1)//2 +
 i*step for i in range(floor((N + 2*extension)/step)); footprints are
@@ -152,6 +152,11 @@ class ScanOperator:
         np.conjugate(spec, out=spec)
         spec *= self.transfer
         np.conjugate(spec, out=spec)
+        return self._inverse(spec, *self.shape)
+
+    def deconvolve(self, y: np.ndarray, divide) -> np.ndarray:
+        """``divide(transfer, spectrum)`` of the sites :meth:`adjoint` reads, transformed back."""
+        spec = divide(self.transfer, np.fft.rfft2(y[self._sites], self.grid))
         return self._inverse(spec, *self.shape)
 
     def _inverse(self, spec: np.ndarray, rows: int, cols: int) -> np.ndarray:

@@ -321,6 +321,15 @@ def test_build_target_inset_geometry():
     assert box.sum() == 2.0
 
 
+def test_build_target_takes_integral_floats():
+    # 10.0 is the integer 10, as for every other integer parameter
+    cfg = load_config_from_text(SMALL_CONFIG)
+    floats = replace(cfg, inset_pair_separation=8.0, inset_center_x=20.0,
+                     inset_center_y=20.0, inset_clear_half=10.0)
+    assert np.array_equal(build_target(floats).pixels, build_target(cfg).pixels)
+    assert inset_pair_points(floats) == inset_pair_points(cfg)
+
+
 def load_config_from_text(text):
     import tempfile
     from pathlib import Path
@@ -582,6 +591,15 @@ def test_blur_needs_exactly_one_psf_source(tmp_path, capsys):
     assert not (tmp_path / "b.ddsf").exists()
 
 
+def test_blur_psf_side_needs_a_generated_psf(tmp_path, capsys):
+    # rejected before any file is read: the sample path does not exist
+    out = tmp_path / "b.ddsf"
+    assert main(["blur", "--sample", str(tmp_path / "absent.ddsf"), "--psf",
+                 str(tmp_path / "psf.ddsf"), "--psf-side", "5", "-o", str(out)]) == 2
+    assert "--psf-side" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [
     "noise_sigma = -1\n",
     "noise_sigma = nan\n",
@@ -590,6 +608,7 @@ def test_blur_needs_exactly_one_psf_source(tmp_path, capsys):
     "method = rl\niterations = -3\n",
     "spot_side = 10\n",
     "noise_seed = -1\nnoise_sweep = 1e-3\n",
+    "inset_pair_separation = -5\n",
 ], ids=lambda extra: extra.strip().replace(" = ", "=").replace("\n", ","))
 def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys, extra):
     path = write_small_config(tmp_path, extra)
@@ -605,7 +624,13 @@ def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys, extra):
     ({"microscope_side": 4}, "psf side"),
     ({"roi_width": 0}, "width"),
     ({"spot_side": 15, "extension": 6, "method": "inverse"}, "spectral methods need extension"),
-], ids=["method-nope", "pgm_depth-12", "microscope_side-4", "roi_width-0", "extension-6"])
+    ({"inset_center_x": 30.5}, "inset_center_x must be an integer"),
+    ({"inset_center_y": None}, "inset_center_y must be an integer"),
+    ({"inset_clear_half": -1}, "inset_clear_half must be an integer >= 0"),
+    ({"inset_pair_separation": -5}, "inset_pair_separation must be an integer >= 0"),
+], ids=["method-nope", "pgm_depth-12", "microscope_side-4", "roi_width-0", "extension-6",
+        "inset_center_x-30.5", "inset_center_y-None", "inset_clear_half--1",
+        "inset_pair_separation--5"])
 def test_run_pipeline_validates_config_built_in_code(tmp_path, overrides, message):
     cfg = replace(load_config(write_small_config(tmp_path)), **overrides)
     out = tmp_path / "run"

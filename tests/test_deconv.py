@@ -10,7 +10,6 @@ from densescan.deconv import (
     Wiener,
     _cgls,
     _richardson_lucy,
-    _spectral_transfer,
     adjoint_apply,
     dft2_forward,
     dft2_inverse,
@@ -18,7 +17,7 @@ from densescan.deconv import (
 )
 from densescan.grid import Image, Rect
 from densescan.psf import Disk, Gaussian, SpotImage, make_spot
-from densescan import deconv, scanner
+from densescan import scanner
 from densescan.scanner import (
     ConstantBackground,
     ScanConfig,
@@ -165,24 +164,24 @@ def test_inverse_filter_noiseless_roundtrip(rng):
 
 def test_inverse_filter_threshold_precondition(rng):
     # the instance above really is well conditioned: the transfer that
-    # recover divides by, on the 80^2 intermediate grid
+    # recover divides by, on the operator's 72^2 grid
     spot = make_spot(Gaussian(1.0), 9)
-    h = np.abs(_spectral_transfer(spot.pixels, (80, 80), 8))
-    assert h.shape == (80, 41)
+    op = ScanOperator(spot.pixels, (64, 64), 8)
+    h = np.abs(op.transfer)
+    assert op.grid == (72, 72) and h.shape == (72, 37)
     assert h.min() > 1e-6 * h.max()
 
 
 def test_default_spectral_floor_above_threshold():
     # The default spot is chosen so that every component of the transfer
-    # the spectral pair divides by, on the exact 500^2 intermediate grid,
-    # survives the default inverse threshold; a grid rounded up (e.g. to a
-    # fast FFT length) would put the floor below it.
+    # the spectral pair divides by, on the operator's 400^2 grid, survives
+    # the default inverse threshold: the floor min|H|/max|H| is 1.11e-8.
     from densescan.cli import PipelineConfig, build_spot
 
     cfg = PipelineConfig()
-    grid = (cfg.roi_height + 2 * cfg.extension, cfg.roi_width + 2 * cfg.extension)
-    mag = np.abs(_spectral_transfer(build_spot(cfg).pixels, grid, cfg.extension))
-    assert mag.shape == (500, 251)
+    op = ScanOperator(build_spot(cfg).pixels, (cfg.roi_height, cfg.roi_width), cfg.extension)
+    mag = np.abs(op.transfer)
+    assert op.grid == (400, 400) and mag.shape == (400, 201)
     assert mag.min() / mag.max() > cfg.threshold
 
 
@@ -278,15 +277,12 @@ def test_recover_validation_errors(rng):
                           recover(inter, spot, roi, 8, RichardsonLucy(3)).recovered.pixels)
 
 
-@pytest.mark.parametrize("request_, zero_bg, constant_bg", [
-    (InverseFilter(1e-9), 1, 2),
-    (Wiener(1e-6), 1, 2),
-    (RichardsonLucy(3), 1, 1),
-    (LeastSquaresCG(1e-10, 3), 1, 1),
+@pytest.mark.parametrize("request_", [
+    InverseFilter(1e-9), Wiener(1e-6), RichardsonLucy(3), LeastSquaresCG(1e-10, 3),
 ], ids=["inverse", "wiener", "rl", "cgls"])
-def test_kernel_transforms_per_solve(monkeypatch, rng, request_, zero_bg, constant_bg):
-    # The spectral pair transforms the spot on the intermediate's grid; the
-    # operator transforms it on its own grid only when a solve applies it.
+def test_kernel_transforms_per_solve(monkeypatch, rng, request_):
+    # Every solver divides by or applies the one operator, which transforms
+    # the spot once, also when a constant background's response is removed.
     sample = Image(rng.random((24, 24)), 1.0)
     spot = make_spot(Gaussian(1.0), 9)
     transfer, calls = scanner._transfer, []
@@ -295,14 +291,33 @@ def test_kernel_transforms_per_solve(monkeypatch, rng, request_, zero_bg, consta
         calls.append(args[1])  # the grid
         return transfer(*args)
 
-    for background, want in ((ZeroBackground(), zero_bg), (ConstantBackground(0.3), constant_bg)):
+    for background in (ZeroBackground(), ConstantBackground(0.3)):
         inter = simulate_scan(sample, spot, ScanConfig(1, 8, background))
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(scanner, "_transfer", counting)
-            patch.setattr(deconv, "_transfer", counting)
             recover(inter, spot, Rect(0, 0, 24, 24), 8, request_, background)
-        assert len(calls) == want, (background, calls)
+        assert len(calls) == 1, (background, calls)
+
+
+def test_spectral_pair_reads_the_adjoint_sites(rng):
+    # Sites farther than spot_side // 2 from the sample carry no sample
+    # information: changing them moves neither the adjoint nor the
+    # spectral pair's output, bit for bit.
+    spot = make_spot(Gaussian(1.5), 7)
+    ext, ring = 6, 6 - 7 // 2
+    inter = forward(Image(rng.random((20, 20)), 1.0), spot, ext)
+    outer = np.ones(inter.pixels.shape, dtype=bool)
+    outer[ring:-ring, ring:-ring] = False
+    changed = inter.pixels.copy()
+    changed[outer] = rng.standard_normal(np.count_nonzero(outer))
+    changed = Image(changed, inter.pitch)
+    roi = Rect(0, 0, 20, 20)
+    assert np.array_equal(adjoint_apply(inter, spot, roi, ext).pixels,
+                          adjoint_apply(changed, spot, roi, ext).pixels)
+    for request in (InverseFilter(1e-9), Wiener(1e-6)):
+        assert np.array_equal(recover(inter, spot, roi, ext, request).recovered.pixels,
+                              recover(changed, spot, roi, ext, request).recovered.pixels), request
 
 
 # --- Richardson-Lucy ---------------------------------------------------------------
