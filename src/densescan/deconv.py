@@ -22,7 +22,8 @@ spectral pair divides by its transfer, exact when extension >=
 spot_side // 2 (smaller extensions crop the correlation and are left to
 the iterative solvers); RL and CGLS apply it and its adjoint. Sites
 farther than spot_side // 2 from the sample carry no sample information;
-only RL's start value and CGLS's residual norm read them.
+only RL's start value and CGLS's constant ring term read them; CGLS keeps
+the rest of its residual as the window's spectrum on the operator's grid.
 """
 
 from __future__ import annotations
@@ -175,10 +176,9 @@ def _richardson_lucy(op: ScanOperator, y: np.ndarray, iterations: int,
     start = max(float(y.mean()), np.finfo(np.float64).tiny)
     x = np.full(op.shape, start)
     for _ in range(iterations):
-        pred = op.forward(x)
-        ratio = y / np.maximum(pred, _RL_DIVISION_GUARD)
+        ratio = y[op.sites] / np.maximum(op.forward_window(x), _RL_DIVISION_GUARD)
         # clamp keeps iterates exactly nonnegative even for signed data
-        multiplier = np.maximum(op.adjoint(ratio), 0.0)
+        multiplier = np.maximum(op.transpose(op.spectrum(ratio)), 0.0)
         x = x * multiplier
         if on_iterate is not None:
             on_iterate(x)
@@ -190,36 +190,38 @@ def _cgls(op: ScanOperator, y: np.ndarray, tolerance: float,
     """CGLS on the normal equations; returns (x, iterations, residual history).
 
     The recorded residual is ||y - A x|| / ||y||, which CGLS decreases
-    monotonically.
+    monotonically. It is kept as the window spectrum ``r`` plus the constant
+    ``ring``, ||y||^2 at the sites outside the window, where A x is 0.
     """
     x = np.zeros(op.shape)
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
         return x, 0, []
-    r = y.copy()
-    s = op.adjoint(r)
+    outside = y.copy()
+    outside[op.sites] = 0.0
+    ring = float(np.vdot(outside, outside))
+    r = op.spectrum(y[op.sites])
+    s = op.transpose(r)
     p = s.copy()
-    gamma = float(np.vdot(s, s).real)
+    gamma = float(np.vdot(s, s))
     history: list[float] = []
-    iterations = 0
     for _ in range(max_iterations):
-        q = op.forward(p)
-        qq = float(np.vdot(q, q).real)
+        q = op.forward_spectrum(p)
+        qq = op.norm2(q)
         if qq == 0.0 or gamma == 0.0:
             break
         alpha = gamma / qq
         x = x + alpha * p
-        r = r - alpha * q
-        iterations += 1
-        relres = float(np.linalg.norm(r)) / ynorm
+        r -= alpha * q
+        relres = float(np.sqrt(op.norm2(r) + ring)) / ynorm
         history.append(relres)
         if relres <= tolerance:
             break
-        s = op.adjoint(r)
-        gamma_next = float(np.vdot(s, s).real)
+        s = op.transpose(r)
+        gamma_next = float(np.vdot(s, s))
         p = s + (gamma_next / gamma) * p
         gamma = gamma_next
-    return x, iterations, history
+    return x, len(history), history
 
 
 def _relative_residual(x: np.ndarray, y: np.ndarray, op: ScanOperator) -> float:

@@ -123,7 +123,7 @@ class ScanOperator:
         # is nonzero; it starts at lattice site extension - pad.
         start = extension - pad
         self._window = (shape[0] + 2 * pad, shape[1] + 2 * pad)
-        self._sites = tuple(slice(start, start + n) for n in self._window)
+        self.sites = tuple(slice(start, start + n) for n in self._window)
         self._offset = pad - ctr
 
     @cached_property
@@ -136,28 +136,51 @@ class ScanOperator:
         """Scan field of ``x`` with the sample extended by ``level``."""
         # Over a constant periphery the scan is the zero-background scan
         # of x - level plus level times the spot's total weight.
-        spec = np.fft.rfft2(x - level if level else x, self.grid)
+        # The product is formed in place before the lattice is allocated:
+        # with forward_window first, pipeline_default's peak RSS rose 1.8 MB.
+        spec = self.spectrum(x - level if level else x)
         spec *= self.transfer
-        ext = self.extension
-        out = np.zeros((self.shape[0] + 2 * ext, self.shape[1] + 2 * ext))
-        out[self._sites] = self._inverse(spec, *self._window)
+        out = np.zeros(tuple(n + 2 * self.extension for n in self.shape))
+        out[self.sites] = self._inverse(spec, *self._window)
         if level:
             out += level * float(self.spot.sum())
         return out
 
+    def forward_window(self, x: np.ndarray) -> np.ndarray:
+        """The zero-background scan of ``x`` at the window ``sites``; it is 0 elsewhere."""
+        return self._inverse(self.spectrum(x) * self.transfer, *self._window)
+
+    def forward_spectrum(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`spectrum` of :meth:`forward_window` of ``x``."""
+        if self._offset:  # extension < spot_side // 2 crops the grid's correlation
+            return self.spectrum(self.forward_window(x))
+        return self.spectrum(x) * self.transfer
+
+    def spectrum(self, field: np.ndarray) -> np.ndarray:
+        """rFFT on ``grid`` of a field at its origin: a sample or a window of ``sites``."""
+        return np.fft.rfft2(field, self.grid)
+
+    def transpose(self, spec: np.ndarray) -> np.ndarray:
+        """Transpose of the zero-background scan, applied to a window :meth:`spectrum`."""
+        # conj(conj(Y) * H) == Y * conj(H), with no conj(H) temporary
+        spec = np.conjugate(spec)
+        spec *= self.transfer
+        return self._inverse(np.conjugate(spec, out=spec), *self.shape)
+
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Transpose of the zero-background :meth:`forward`."""
-        spec = np.fft.rfft2(y[self._sites], self.grid)
-        # conj(conj(Y) * H) == Y * conj(H), with no conj(H) temporary
-        np.conjugate(spec, out=spec)
-        spec *= self.transfer
-        np.conjugate(spec, out=spec)
-        return self._inverse(spec, *self.shape)
+        return self.transpose(self.spectrum(y[self.sites]))
+
+    def norm2(self, spec: np.ndarray) -> float:
+        """Squared norm of the real grid field whose rFFT is ``spec`` (Parseval)."""
+        # each column stands for its mirror too, but 0 and an even grid's Nyquist
+        unpaired = spec[:, [0, -1] if self.grid[1] % 2 == 0 else [0]]
+        total = 2.0 * np.vdot(spec, spec).real - np.vdot(unpaired, unpaired).real
+        return float(total) / np.prod(self.grid)
 
     def deconvolve(self, y: np.ndarray, divide) -> np.ndarray:
         """``divide(transfer, spectrum)`` of the sites :meth:`adjoint` reads, transformed back."""
-        spec = divide(self.transfer, np.fft.rfft2(y[self._sites], self.grid))
-        return self._inverse(spec, *self.shape)
+        return self._inverse(divide(self.transfer, self.spectrum(y[self.sites])), *self.shape)
 
     def _inverse(self, spec: np.ndarray, rows: int, cols: int) -> np.ndarray:
         # irfft2(spec, grid)[:rows, :cols] bitwise: numpy's irfft2 runs this

@@ -356,6 +356,24 @@ def test_rl_conserves_flux_on_positive_data(rng):
         assert abs(s - total_y) <= 1e-3 * total_y
 
 
+@pytest.mark.parametrize("ext", [1, 3, 6], ids=["cropped", "half-side", "ring"])
+def test_rl_window_iterates_equal_the_lattice_loop(rng, ext):
+    # RL forms its ratio on the window sites only; every iterate is bitwise
+    # that of the loop over the whole lattice through forward and adjoint.
+    spot = make_spot(Gaussian(1.2), 7)
+    inter = forward(Image(rng.random((20, 23)), 1.0), spot, ext)
+    y = inter.pixels + 0.01 * rng.standard_normal(inter.pixels.shape)
+    op = ScanOperator(spot.pixels, (20, 23), ext)
+    iterates = []
+    _richardson_lucy(op, y, 15, on_iterate=iterates.append)
+    x = np.full(op.shape, y.mean())
+    for got in iterates:
+        ratio = y / np.maximum(op.forward(x), 1e-12)
+        x = x * np.maximum(op.adjoint(ratio), 0.0)
+        assert np.array_equal(got, x)
+    assert len(iterates) == 15
+
+
 def test_rl_improves_with_iterations(rng):
     sample = Image(rng.random((24, 24)) + 0.2, 1.0)
     spot = make_spot(Gaussian(1.2), 7)
@@ -407,6 +425,60 @@ def test_cgls_zero_data(rng):
     res = recover(zero, spot, Rect(0, 0, 8, 8), 8, LeastSquaresCG(1e-10, 50))
     assert np.all(res.recovered.pixels == 0.0)
     assert res.residual_norm == 0.0
+
+
+@pytest.mark.parametrize("n, side, ext", [(20, 7, 1), (20, 7, 3), (20, 7, 6), (64, 15, 14)],
+                         ids=["cropped", "half-side", "ring-odd-grid", "ring-even-grid"])
+def test_cgls_tracked_residual_is_the_true_residual(rng, n, side, ext):
+    # CGLS keeps its residual as a window spectrum plus the constant ring
+    # term; the last one it records is the rescanned residual.
+    spot = make_spot(Gaussian(1.5), side)
+    inter = forward(Image(rng.random((n, n)), 1.0), spot, ext)
+    y = inter.pixels + 0.01 * rng.standard_normal(inter.pixels.shape)
+    op = ScanOperator(spot.pixels, (n, n), ext)
+    x, iters, history = _cgls(op, y, 1e-3, 60)
+    true = np.linalg.norm(y - op.forward(x)) / np.linalg.norm(y)
+    assert iters == len(history) > 0
+    assert abs(history[-1] - true) <= 1e-9 * true
+
+
+def test_cgls_ring_of_a_clean_scan_leaves_no_floor(rng):
+    # The ring outside the window is 0 on a clean scan, so a 1e-10 solve
+    # converges; a ring term formed as ||y||^2 less the window spectrum's
+    # Parseval norm instead keeps a rounding remainder that puts a ~1e-8
+    # floor under the residual, and the solve runs out of iterations.
+    spot = make_spot(Gaussian(0.6), 7)
+    inter = forward(Image(rng.random((20, 20)), 1.0), spot, 6)
+    _, iters, history = _cgls(ScanOperator(spot.pixels, (20, 20), 6), inter.pixels, 1e-10, 500)
+    assert history[-1] <= 1e-10
+    assert iters < 500
+
+
+@pytest.mark.parametrize("ext", [4, 7], ids=["half-side", "ring"])
+def test_cgls_transforms_once_each_way_per_iteration(monkeypatch, rng, ext):
+    # With extension >= spot_side // 2, an iteration takes one rfft2 and one
+    # inverse transform; the first adjoint adds one of each.
+    spot = make_spot(Gaussian(1.5), 9)
+    inter = forward(Image(rng.random((24, 24)), 1.0), spot, ext)
+    op = ScanOperator(spot.pixels, (24, 24), ext)
+    op.transfer  # computed once, outside the count
+    calls = {"rfft2": 0, "inverse": 0}
+    rfft2, inverse = np.fft.rfft2, ScanOperator._inverse
+
+    def counting_rfft2(*args, **kwargs):
+        calls["rfft2"] += 1
+        return rfft2(*args, **kwargs)
+
+    def counting_inverse(*args):
+        calls["inverse"] += 1
+        return inverse(*args)
+
+    monkeypatch.setattr(np.fft, "rfft2", counting_rfft2)
+    monkeypatch.setattr(ScanOperator, "_inverse", counting_inverse)
+    _, iters, _ = _cgls(op, inter.pixels + 0.01 * rng.standard_normal(inter.pixels.shape),
+                        1e-30, 12)
+    assert iters == 12
+    assert calls == {"rfft2": iters + 1, "inverse": iters + 1}
 
 
 # --- works on an extension below half the spot side (operator methods) ---------------
