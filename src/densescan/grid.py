@@ -2,7 +2,11 @@
 
 Images are immutable after construction (the pixel array is marked
 read-only), so every operation here is pure and safe to share across
-threads.
+threads. :class:`Image` copies its pixels, except that it adopts an
+array that is already frozen and owns its data (float64, C-contiguous,
+read-only, ``flags.owndata``). Views of a read-only array are read-only
+too, so a builder that freezes its fresh result, holding no writable
+view of it, hands it over without a copy.
 
 Every module checks its scalar parameters with the same three guards:
 :func:`_integer` (integral, finite and >= a minimum; returns the int, so
@@ -56,8 +60,10 @@ class Image:
     Parameters
     ----------
     pixels : np.ndarray
-        Row-major float64 array of shape (height, width). Converted and
-        frozen (read-only) on construction. All values must be finite.
+        Row-major float64 array of shape (height, width). Copied and
+        frozen (read-only) on construction, unless it is an ndarray that
+        is float64, C-contiguous, owns its data and is already read-only:
+        such an array is adopted as is. All values must be finite.
     pitch : float
         Physical sampling, nanometers per pixel. Must be positive and
         finite.
@@ -67,7 +73,11 @@ class Image:
     pitch: float
 
     def __post_init__(self) -> None:
-        px = np.array(self.pixels, dtype=np.float64, order="C", copy=True)
+        px = self.pixels
+        frozen = (type(px) is np.ndarray and px.dtype == np.float64
+                  and px.flags.c_contiguous and px.flags.owndata and not px.flags.writeable)
+        if not frozen:
+            px = np.array(px, dtype=np.float64, order="C", copy=True)
         if px.ndim != 2:
             raise ValueError(f"pixels must be 2D, got ndim={px.ndim}")
         if px.shape[0] < 1 or px.shape[1] < 1:

@@ -8,8 +8,13 @@ Airy rings (low-pass behavior), while the spot variants are compactly
 supported. Each spot profile's ``render`` checks its fit and returns its
 unnormalized image; :func:`make_spot` normalizes it. All profiles are
 radial, so each is evaluated on one octant of the odd square and
-mirrored into the rest. The Airy profiles' J1 series stops at 16 of 40
-terms when no argument exceeds 3.5, changing no bit.
+mirrored into the rest. The octant is evaluated in blocks of rows of
+about ``_BLOCK`` radii each, written straight into the output, so the
+profile's temporaries stay in cache at any side; each value is an
+elementwise function of its radius, so the blocks change no bit. The
+Airy profiles' J1 series stops at 16 of 40 terms when no argument in a
+block exceeds 3.5, also changing no bit. The builders freeze their
+result, and :class:`~densescan.grid.Image` adopts it without a copy.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ _SERIES_TERMS = 40
 _SHORT_SERIES_CUTOFF = 3.5
 _SHORT_SERIES_TERMS = 16
 _ASYMPTOTIC_TERMS = 17
+# radii per block of _radial_image: its temporaries (about a dozen
+# arrays of this many float64) fit in a core's L2 cache
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -57,9 +65,14 @@ class Gaussian:
 
     def __post_init__(self) -> None:
         _positive("sigma", self.sigma)
+        # render divides by 2 sigma^2 (the guard keeps sigma**2 from overflowing)
+        if self.sigma < 1.0 and 2.0 * self.sigma**2 == 0.0:
+            raise ValueError(f"sigma must be large enough that 2 sigma^2 > 0, got {self.sigma}")
 
     def render(self, side: int) -> np.ndarray:
-        return _radial_image(lambda r: np.exp(-np.square(r) / (2.0 * self.sigma**2)), side)
+        # a tiny sigma overflows -r^2 / (2 sigma^2) to -inf, whose exp is the limit 0
+        with np.errstate(over="ignore"):
+            return _radial_image(lambda r: np.exp(-np.square(r) / (2.0 * self.sigma**2)), side)
 
 
 @dataclass(frozen=True)
@@ -160,32 +173,48 @@ def bessel_j1(x):
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     a = np.atleast_1d(arr)
-    out = np.empty_like(a)
     small = np.abs(a) <= _SERIES_CUTOFF
-    if small.any():
-        out[small] = _j1_series(a[small])
-    large = ~small
-    if large.any():
-        out[large] = _j1_asymptotic(a[large])
+    if a.size and small.all():
+        out = _j1_series(a)
+    else:
+        out = np.empty_like(a)
+        if small.any():
+            out[small] = _j1_series(a[small])
+        large = ~small
+        if large.any():
+            out[large] = _j1_asymptotic(a[large])
     return float(out[0]) if scalar else out
 
 
 def _airy_intensity(r: np.ndarray, first_zero_radius: float) -> np.ndarray:
-    # (2 J1(v)/v)^2 with v = AIRY_FIRST_ZERO * r / R; central limit 1.
-    v = AIRY_FIRST_ZERO * r / first_zero_radius
-    safe = np.where(v == 0.0, 1.0, v)
-    return np.where(v == 0.0, 1.0, np.square(2.0 * bessel_j1(safe) / safe))
+    # (2 J1(v)/v)^2 with v = AIRY_FIRST_ZERO * r / R; its limits are 1 at
+    # v = 0 and 0 at v = inf, which a tiny R gives by overflow.
+    with np.errstate(over="ignore"):
+        v = AIRY_FIRST_ZERO * r / first_zero_radius
+    centre = v == 0.0
+    far = v == np.inf
+    safe = np.where(centre | far, 1.0, v)
+    intensity = np.square(2.0 * bessel_j1(safe) / safe)
+    intensity[centre] = 1.0
+    intensity[far] = 0.0
+    return intensity
 
 
 def _radial_image(profile, side: int) -> np.ndarray:
     # profile(r) on the octant 0 <= dy <= dx <= c, mirrored; np.hypot ignores
     # signs and operand order, so this matches a full-grid evaluation bitwise.
-    # A boolean mask visits the octant in np.nonzero order, also on the transpose.
+    # A boolean mask visits the octant in np.nonzero order, also on the transpose;
+    # it is evaluated in blocks of rows holding at most _BLOCK radii.
     c = side // 2
     octant = ~np.tri(c + 1, k=-1, dtype=bool)
     full = np.empty((side, side))
     quadrant = full[c:, c:]
-    quadrant[octant] = quadrant.T[octant] = profile(np.hypot(*np.nonzero(octant)))
+    step = max(_BLOCK // (c + 1), 1)
+    for i in range(0, c + 1, step):
+        mask = octant[i : i + step]
+        dy, dx = np.nonzero(mask)
+        dy += i
+        quadrant[i : i + step][mask] = quadrant.T[i : i + step][mask] = profile(np.hypot(dy, dx))
     full[c:, :c] = quadrant[:, :0:-1]
     full[:c] = full[:c:-1]
     return full
@@ -209,6 +238,7 @@ def make_spot(profile: SpotProfile, side: int, pitch: float = 1.0) -> SpotImage:
     if not total > 0:
         raise ValueError("spot profile has no support on the grid")
     values /= total
+    values.setflags(write=False)
     return SpotImage(Image(values, pitch))
 
 
@@ -226,4 +256,5 @@ def make_microscope_psf(first_zero_radius: float, side: int, pitch: float = 1.0)
     _positive("first_zero_radius", first_zero_radius)
     values = _radial_image(lambda r: _airy_intensity(r, first_zero_radius), side)
     values /= values.sum()
+    values.setflags(write=False)
     return Image(values, pitch)

@@ -13,10 +13,12 @@ fft scan, all four solvers and the wide-field blur. Only the
 N + spot_side - 1 sites per axis whose footprint meets an N-px sample
 can be nonzero, so it computes the linear correlation on a circular grid
 of the next 5-smooth (fast FFT) length >= N + spot_side - 1 per axis,
-where the circular product is exact, and writes it into a zero lattice
-(or crops it, when extension < spot_side // 2): the zero border is exact.
-Its inverse FFT transforms back only the rows it keeps (300 of 900 in
-the default blur), bitwise equal to ``irfft2`` and crop. The spectral
+where the circular product is exact. When extension > spot_side // 2 it
+writes the result into a zero lattice, so the zero border is exact;
+otherwise (every blur) the result, cropped when extension <
+spot_side // 2, is the lattice itself, returned with no copy. Its
+inverse FFT transforms back only the rows it keeps (300 of 900 in the
+default blur), bitwise equal to ``irfft2`` and crop. The spectral
 solvers divide by its transfer (:meth:`~ScanOperator.deconvolve`). The
 wide-field blur is the same map with the flipped PSF and no extension,
 cropped to the 2(N - 1) + 1 taps that can meet an N-px sample. ``auto``
@@ -140,8 +142,12 @@ class ScanOperator:
         # with forward_window first, pipeline_default's peak RSS rose 1.8 MB.
         spec = self.spectrum(x - level if level else x)
         spec *= self.transfer
-        out = np.zeros(tuple(n + 2 * self.extension for n in self.shape))
-        out[self.sites] = self._inverse(spec, *self._window)
+        lattice = tuple(n + 2 * self.extension for n in self.shape)
+        if self._window == lattice:  # extension <= spot_side // 2: no zero border
+            out = self._inverse(spec, *lattice)
+        else:
+            out = np.zeros(lattice)
+            out[self.sites] = self._inverse(spec, *self._window)
         if level:
             out += level * float(self.spot.sum())
         return out

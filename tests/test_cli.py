@@ -101,6 +101,14 @@ def test_gen_spot_disk_and_airy(tmp_path):
         SpotImage(load_ddsf(out))
 
 
+def test_gen_spot_rejects_a_sigma_whose_variance_underflows(tmp_path, capsys):
+    out = tmp_path / "spot.ddsf"
+    assert main(["gen-spot", "--profile", "gaussian", "--side", "9", "--sigma", "1e-320",
+                 "-o", str(out)]) == 2
+    assert "sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_geometry_via_cli(tmp_path):
     sample = tmp_path / "s.ddsf"
     spot = tmp_path / "k.ddsf"

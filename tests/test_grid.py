@@ -102,6 +102,54 @@ def test_image_is_immutable():
         im.pixels[0, 0] = 7.0
 
 
+# Image copies its pixels unless the array is float64, C-contiguous, owns its
+# data and is already read-only; then it adopts the array as is.
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+def test_image_copies_a_writable_array():
+    data = np.ones((3, 4))
+    im = Image(data, 1.0)
+    data[0, 0] = 7.0
+    assert im.pixels[0, 0] == 1.0
+    assert not np.shares_memory(im.pixels, data)
+    assert data.flags.writeable
+
+
+def test_image_adopts_a_frozen_owned_array():
+    data = _frozen(np.arange(12.0).reshape(3, 4).copy())
+    im = Image(data, 1.0)
+    assert np.shares_memory(im.pixels, data)
+    assert Image(im.pixels, 2.0).pixels is im.pixels
+
+
+@pytest.mark.parametrize("data", [
+    _frozen(np.ones((6, 4)))[1:4],  # a contiguous view of a read-only base
+    np.ones((6, 4))[1:4],  # a contiguous view of a writable base, frozen below
+    np.ones((3, 4), dtype=np.float32),
+    np.ones((3, 4), dtype=">f8"),
+    np.ones((4, 3)).T,  # Fortran order
+    np.ones((3, 8))[:, ::2],
+], ids=["view-of-frozen", "frozen-view-of-writable", "float32", "big-endian", "transposed", "strided"])
+def test_image_copies_other_read_only_arrays(data):
+    data.setflags(write=False)
+    im = Image(data, 1.0)
+    assert not np.shares_memory(im.pixels, data)
+    assert im.pixels.dtype == np.float64 and im.pixels.flags.c_contiguous
+    assert np.array_equal(im.pixels, data)
+
+
+def test_image_rejects_non_finite_adopted_data():
+    for bad in (np.nan, np.inf):
+        data = np.ones((2, 2))
+        data[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Image(_frozen(data), 1.0)
+
+
 def test_rect_validates_dims():
     Rect(-3, -3, 1, 1)  # negative offsets are fine (scan lattice coords)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from densescan.grid import Image, load_ddsf, save_ddsf
 from densescan.psf import (
     AIRY_FIRST_ZERO,
+    _BLOCK,
     _airy_intensity,
     _j1_asymptotic,
     AiryCore,
@@ -335,3 +336,57 @@ def radial_profile(profile):
 def test_make_spot_equals_full_grid_evaluation(profile, side):
     ref = full_grid_reference(radial_profile(profile), side)
     assert np.array_equal(make_spot(profile, side).pixels, ref)
+
+
+# --- blocked evaluation ----------------------------------------------------------
+# _radial_image evaluates the octant in blocks of rows of about _BLOCK radii.
+
+@pytest.mark.parametrize("radius, side", [
+    (20.0, 801),  # 401 rows in blocks of 81
+    (2000.0, 2001),  # the default microscope PSF: 1001 rows in blocks of 32
+])
+def test_multi_block_psf_equals_full_grid_evaluation(radius, side):
+    assert _BLOCK // (side // 2 + 1) < side // 2 + 1
+    ref = full_grid_reference(lambda r: _airy_intensity(r, radius), side)
+    assert np.array_equal(make_microscope_psf(radius, side).pixels, ref)
+
+
+def test_default_psf_peak_memory_is_near_its_output():
+    # the output, the blocks, the octant mask and Image's finiteness mask: no
+    # full-size temporary and no copy (the builder freezes it and Image adopts it)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        psf = make_microscope_psf(2000.0, 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * psf.pixels.nbytes
+
+
+def test_j1_all_series_arguments_bitwise():
+    # every argument within 12 takes the 40-term series with no gather or scatter
+    xs = np.linspace(-12.0, 12.0, 100_100)
+    assert np.array_equal(bessel_j1(xs), j1_series_40(xs))
+    assert np.array_equal(bessel_j1(xs.reshape(1001, 100)), j1_series_40(xs).reshape(1001, 100))
+
+
+# --- tiny scale parameters ---------------------------------------------------------
+# RuntimeWarnings fail these tests (pyproject filterwarnings).
+
+@pytest.mark.parametrize("sigma", [1e-200, 1e-320, 5e-324])
+def test_gaussian_rejects_sigma_whose_variance_underflows(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        Gaussian(sigma)
+
+
+def test_tiny_scales_give_a_delta_without_warnings():
+    delta = np.zeros((9, 9))
+    delta[4, 4] = 1.0
+    # 2 sigma^2 is nonzero here, but -r^2 / (2 sigma^2) overflows to -inf off-centre
+    assert np.array_equal(make_spot(Gaussian(1e-160), 9).pixels, delta)
+    assert np.array_equal(make_spot(AiryCore(1e-310), 9).pixels, delta)
+    # v = AIRY_FIRST_ZERO * r / R overflows off-centre; its intensity limit is 0
+    assert np.array_equal(make_microscope_psf(1e-310, 9).pixels, delta)
+    assert np.array_equal(_airy_intensity(np.array([0.0, 1.0, np.inf]), 1e-310), [1.0, 0.0, 0.0])
