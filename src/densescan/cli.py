@@ -19,6 +19,7 @@ from .metrics import CSV_HEADER, compare, two_point_contrast
 from .patterns import BarGrid, PointPair, RandomBlobs, SiemensStar, generate
 from .psf import AiryCore, Disk, Gaussian, SpotImage, make_microscope_psf, make_spot
 from .scanner import (
+    SCAN_METHODS,
     Background,
     ConstantBackground,
     ScanConfig,
@@ -119,7 +120,6 @@ SOLVERS = {
     "rl": lambda c: RichardsonLucy(c.iterations),
     "cgls": lambda c: LeastSquaresCG(c.tolerance, c.max_iterations),
 }
-SCAN_METHODS = ("auto", "fft", "direct")
 
 _FIELDS = {f.name: f for f in fields(PipelineConfig)}
 
@@ -276,15 +276,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
     for name, image in images.items():
         save_ddsf(image, out / f"{name}.ddsf")
         export_pgm(image, out / f"{name}.pgm", cfg.pgm_depth)
-    with open(out / "metrics.csv", "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for label, report in reports.items():
-            fh.write(report.csv_row(label) + "\n")
+    (out / "metrics.csv").write_text(_csv_text(reports.items()))
     if sweep:
-        with open(out / "noise_sweep.csv", "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for sigma, report in sweep:
-                fh.write(report.csv_row(f"recovered_vs_expected[sigma={sigma:g}]") + "\n")
+        (out / "noise_sweep.csv").write_text(_csv_text(
+            (f"recovered_vs_expected[sigma={sigma:g}]", report) for sigma, report in sweep))
     (out / "run_config.txt").write_text(config_text(cfg))
     return {
         "out_dir": out,
@@ -295,36 +290,36 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
     }
 
 
+def _csv_text(rows) -> str:
+    """The CSV header and a line per (label, MetricsReport) row."""
+    return "".join(line + "\n" for line in [CSV_HEADER, *(r.csv_row(label) for label, r in rows)])
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns the image that main writes to -o, or None
 
-def _cmd_gen_sample(args: argparse.Namespace) -> int:
+def _cmd_gen_sample(args: argparse.Namespace) -> Image:
     _integer("size", args.size, 1)  # under its own name, not as generate's width
-    image = generate(PATTERNS[args.pattern](args), args.size, args.size, args.pitch)
-    save_ddsf(image, args.output)
-    return 0
+    return generate(PATTERNS[args.pattern](args), args.size, args.size, args.pitch)
 
 
-def _cmd_gen_spot(args: argparse.Namespace) -> int:
+def _cmd_gen_spot(args: argparse.Namespace) -> Image:
     _integer("spot side", args.spot_side, 1)  # before the defaults below derive from it
     if args.spot_sigma is None:
         args.spot_sigma = args.spot_side / 6.0
     if args.spot_radius is None:
         args.spot_radius = (args.spot_side - 1) // 2
-    save_ddsf(build_spot(args).image, args.output)
-    return 0
+    return build_spot(args).image
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> Image:
     sample = load_ddsf(args.sample)
     spot = SpotImage(load_ddsf(args.spot))
     config = ScanConfig(args.step, args.extension, _parse_background(args.background))
-    out = simulate_scan(sample, spot, config, args.scan_method)
-    save_ddsf(out, args.output)
-    return 0
+    return simulate_scan(sample, spot, config, args.scan_method)
 
 
-def _cmd_blur(args: argparse.Namespace) -> int:
+def _cmd_blur(args: argparse.Namespace) -> Image:
     if args.psf is not None and args.microscope_side is not None:
         raise ValueError("--psf-side sizes a generated PSF; it cannot be used with --psf")
     sample = load_ddsf(args.sample)
@@ -336,17 +331,14 @@ def _cmd_blur(args: argparse.Namespace) -> int:
             _positive("first_zero_radius", radius)  # before ceil() sees it
             side = 2 * math.ceil(radius) + 1
         psf = make_microscope_psf(radius, side, sample.pitch)
-    save_ddsf(widefield_blur(sample, psf), args.output)
-    return 0
+    return widefield_blur(sample, psf)
 
 
-def _cmd_noise(args: argparse.Namespace) -> int:
-    image = load_ddsf(args.input)
-    save_ddsf(add_noise(image, args.noise_sigma, args.noise_seed), args.output)
-    return 0
+def _cmd_noise(args: argparse.Namespace) -> Image:
+    return add_noise(load_ddsf(args.input), args.noise_sigma, args.noise_seed)
 
 
-def _cmd_deconv(args: argparse.Namespace) -> int:
+def _cmd_deconv(args: argparse.Namespace) -> Image:
     intermediate = load_ddsf(args.intermediate)
     spot = SpotImage(load_ddsf(args.spot))
     request = SOLVERS[args.method](args)
@@ -355,30 +347,24 @@ def _cmd_deconv(args: argparse.Namespace) -> int:
     roi = Rect(0, 0, max(intermediate.width - 2 * ext, 1),
                max(intermediate.height - 2 * ext, 1))
     result = recover(intermediate, spot, roi, ext, request, _parse_background(args.background))
-    save_ddsf(result.recovered, args.output)
     if isinstance(request, (RichardsonLucy, LeastSquaresCG)):
         print(f"iterations = {result.iterations_used}")
         print(f"residual_norm = {result.residual_norm!r}")
-    return 0
+    return result.recovered
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    report = compare(load_ddsf(args.a), load_ddsf(args.b))
-    print(report.to_text())
-    return 0
+def _cmd_compare(args: argparse.Namespace) -> None:
+    print(compare(load_ddsf(args.a), load_ddsf(args.b)).to_text())
 
 
-def _cmd_contrast(args: argparse.Namespace) -> int:
+def _cmd_contrast(args: argparse.Namespace) -> None:
     image = load_ddsf(args.input)
     value = two_point_contrast(image, (args.x1, args.y1), (args.x2, args.y2))
     print(f"contrast = {value!r}")
-    return 0
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    run_pipeline(cfg, args.output)
-    return 0
+def _cmd_pipeline(args: argparse.Namespace) -> None:
+    run_pipeline(load_config(args.config), args.output)  # -o names its directory
 
 
 def _config_option(parser, flag: str, key: str, **kwargs) -> None:
@@ -495,7 +481,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        image = args.func(args)
+        if image is not None:
+            save_ddsf(image, args.output)
     except FormatError as exc:
         print(f"densescan: format error: {exc}", file=sys.stderr)
         return 1
@@ -508,6 +496,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"densescan: invalid argument: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

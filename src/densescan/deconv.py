@@ -20,7 +20,8 @@ model) and calls ``solve``.
 All four solvers share the operator's kernel embedding and FFT grid: the
 spectral pair divides by its transfer, exact when extension >=
 spot_side // 2 (smaller extensions crop the correlation and are left to
-the iterative solvers); RL and CGLS apply it and its adjoint. Sites
+the iterative solvers; :meth:`~densescan.scanner.ScanOperator.deconvolve`
+rejects them); RL and CGLS apply it and its adjoint. Sites
 farther than spot_side // 2 from the sample carry no sample information;
 only RL's start value and CGLS's constant ring term read them; CGLS keeps
 the rest of its residual as the window's spectrum on the operator's grid.
@@ -43,10 +44,6 @@ class _SpectralSolve:
     """solve() of the spectral pair; each member divides by ``_divide``."""
 
     def solve(self, op: ScanOperator, y: np.ndarray) -> tuple[np.ndarray, int, float]:
-        ctr = op.spot.shape[0] // 2
-        if op.extension < ctr:
-            raise ValueError(f"spectral methods need extension >= {ctr} "
-                             f"(half the spot side), got {op.extension}")
         return op.deconvolve(y, self._divide), 0, 0.0
 
 

@@ -8,9 +8,10 @@ read-only, ``flags.owndata``). Views of a read-only array are read-only
 too, so a builder that freezes its fresh result, holding no writable
 view of it, hands it over without a copy.
 
-Every module checks its scalar parameters with the same three guards:
+Every module checks its scalar parameters with the same four guards:
 :func:`_integer` (integral, finite and >= a minimum; returns the int, so
-``10.0`` becomes ``10``), :func:`_positive` (finite, > 0) and
+``10.0`` becomes ``10``), :func:`_odd` (a spot or PSF side: an odd
+integer >= 1; returns the int), :func:`_positive` (finite, > 0) and
 :func:`_nonnegative` (finite, >= 0). Anything else, NaN and +-inf
 included, raises a ValueError that names the parameter.
 """
@@ -41,6 +42,13 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
         pass
     bound = "" if minimum is None else f" >= {minimum}"
     raise ValueError(f"{name} must be an integer{bound}, got {value}")
+
+
+def _odd(name: str, value) -> int:
+    value = _integer(name, value, 1)
+    if value % 2 == 0:
+        raise ValueError(f"{name} must be odd, got {value}")
+    return value
 
 
 def _positive(name: str, value) -> None:

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .grid import Image
 
-CSV_HEADER = "comparison,mean_abs,mean_signed,rmse,max_abs,psnr_db"
-
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """The metrics of :func:`compare`; their order is the text and CSV order."""
+
     mean_abs: float
     mean_signed: float
     rmse: float
@@ -22,15 +22,14 @@ class MetricsReport:
 
     def to_text(self) -> str:
         """Flat key-value block, one metric per line."""
-        return "\n".join(
-            f"{name} = {getattr(self, name)!r}"
-            for name in ("mean_abs", "mean_signed", "rmse", "max_abs", "psnr_db")
-        )
+        return "\n".join(f"{f.name} = {getattr(self, f.name)!r}" for f in fields(self))
 
     def csv_row(self, comparison: str) -> str:
-        """Single CSV row in the documented column order."""
-        vals = (self.mean_abs, self.mean_signed, self.rmse, self.max_abs, self.psnr_db)
-        return ",".join([comparison] + [repr(v) for v in vals])
+        """Single CSV row in the :data:`CSV_HEADER` column order."""
+        return ",".join([comparison] + [repr(getattr(self, f.name)) for f in fields(self)])
+
+
+CSV_HEADER = ",".join(["comparison"] + [f.name for f in fields(MetricsReport)])
 
 
 def compare(a: Image, b: Image) -> MetricsReport:

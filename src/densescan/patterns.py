@@ -58,7 +58,8 @@ class BarGrid:
 
     def render(self, width: int, height: int) -> np.ndarray:
         on_width = max(1, min(self.period, round(self.period * self.duty)))
-        cols = (np.arange(width) % self.period) < on_width
+        # x % p == x for 0 <= x < width <= p, and numpy ints cannot hold any p
+        cols = (np.arange(width) % min(self.period, width)) < on_width
         out = np.zeros((height, width))
         out[:, cols] = 1.0
         return out
@@ -70,6 +71,8 @@ class SiemensStar:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spokes", _integer("spokes", self.spokes, 2))
+        if self.spokes > 2**52:  # wedge indices reach 2 spokes; past 2**53 no float is odd
+            raise ValueError(f"spokes must be <= 2**52, got {self.spokes}")
 
     def render(self, width: int, height: int) -> np.ndarray:
         radius = min(width, height) / 2.0 - 1.5

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Image, _integer, _positive
+from .grid import Image, _odd, _positive
 
 # First positive root of J1; sets the Airy first-zero radius scale.
 AIRY_FIRST_ZERO = 3.8317059702
@@ -70,9 +70,11 @@ class Gaussian:
             raise ValueError(f"sigma must be large enough that 2 sigma^2 > 0, got {self.sigma}")
 
     def render(self, side: int) -> np.ndarray:
-        # a tiny sigma overflows -r^2 / (2 sigma^2) to -inf, whose exp is the limit 0
+        # a huge sigma overflows the float64 power to inf (a float's raises), the uniform
+        # limit; a tiny one overflows -r^2 / (2 sigma^2) to -inf, whose exp is the limit 0
         with np.errstate(over="ignore"):
-            return _radial_image(lambda r: np.exp(-np.square(r) / (2.0 * self.sigma**2)), side)
+            two_var = 2.0 * np.float64(self.sigma) ** 2
+            return _radial_image(lambda r: np.exp(-np.square(r) / two_var), side)
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,7 @@ class SpotImage:
         im = self.image
         if im.width != im.height:
             raise ValueError(f"spot must be square, got {im.width}x{im.height}")
-        if im.width % 2 == 0:
-            raise ValueError(f"spot side must be odd, got {im.width}")
+        _odd("spot side", im.width)
         px = im.pixels
         if px.min() < 0.0:
             raise ValueError("spot values must be nonnegative")
@@ -228,18 +229,10 @@ def make_spot(profile: SpotProfile, side: int, pitch: float = 1.0) -> SpotImage:
     AiryCore needs first_zero_radius <= (side-1)/2. The Gaussian profile
     is simply truncated at the grid edge.
     """
-    side = _integer("spot side", side, 1)
-    if side % 2 == 0:
-        raise ValueError(f"spot side must be odd, got {side}")
+    side = _odd("spot side", side)
     if not isinstance(profile, SpotProfile):
         raise ValueError(f"unknown spot profile {profile!r}")
-    values = profile.render(side)
-    total = values.sum()
-    if not total > 0:
-        raise ValueError("spot profile has no support on the grid")
-    values /= total
-    values.setflags(write=False)
-    return SpotImage(Image(values, pitch))
+    return SpotImage(_normalized(profile.render(side), pitch))
 
 
 def make_microscope_psf(first_zero_radius: float, side: int, pitch: float = 1.0) -> Image:
@@ -250,11 +243,14 @@ def make_microscope_psf(first_zero_radius: float, side: int, pitch: float = 1.0)
     truncation to any odd side is allowed. Evaluated on one octant and
     mirrored, then sum-normalized over the full side.
     """
-    side = _integer("psf side", side, 1)
-    if side % 2 == 0:
-        raise ValueError(f"psf side must be odd, got {side}")
+    side = _odd("psf side", side)
     _positive("first_zero_radius", first_zero_radius)
-    values = _radial_image(lambda r: _airy_intensity(r, first_zero_radius), side)
+    return _normalized(_radial_image(lambda r: _airy_intensity(r, first_zero_radius), side), pitch)
+
+
+def _normalized(values: np.ndarray, pitch: float) -> Image:
+    # each profile is 1 at the centre pixel, so the sum is >= 1; divided in place and
+    # frozen, the array is adopted by Image without a copy
     values /= values.sum()
     values.setflags(write=False)
     return Image(values, pitch)

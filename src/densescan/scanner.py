@@ -19,9 +19,11 @@ otherwise (every blur) the result, cropped when extension <
 spot_side // 2, is the lattice itself, returned with no copy. Its
 inverse FFT transforms back only the rows it keeps (300 of 900 in the
 default blur), bitwise equal to ``irfft2`` and crop. The spectral
-solvers divide by its transfer (:meth:`~ScanOperator.deconvolve`). The
-wide-field blur is the same map with the flipped PSF and no extension,
-cropped to the 2(N - 1) + 1 taps that can meet an N-px sample. ``auto``
+solvers divide by its transfer in :meth:`~ScanOperator.deconvolve`,
+which alone holds their rule: exact only when extension >=
+spot_side // 2, it raises below that. The wide-field blur is the same
+map with the flipped PSF and no extension, cropped to the 2(N - 1) + 1
+taps that can meet an N-px sample. Of the ``SCAN_METHODS``, ``auto``
 and ``fft`` run it; ``direct``, the bit-reproducible reference, sums
 taps in a fixed order at kept sites.
 
@@ -38,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Image, _integer, _nonnegative
+from .grid import Image, _integer, _nonnegative, _odd
 from .psf import SpotImage
 
 
@@ -138,23 +140,22 @@ class ScanOperator:
         """Scan field of ``x`` with the sample extended by ``level``."""
         # Over a constant periphery the scan is the zero-background scan
         # of x - level plus level times the spot's total weight.
-        # The product is formed in place before the lattice is allocated:
-        # with forward_window first, pipeline_default's peak RSS rose 1.8 MB.
-        spec = self.spectrum(x - level if level else x)
-        spec *= self.transfer
+        window = self.forward_window(x - level if level else x)
         lattice = tuple(n + 2 * self.extension for n in self.shape)
         if self._window == lattice:  # extension <= spot_side // 2: no zero border
-            out = self._inverse(spec, *lattice)
+            out = window
         else:
             out = np.zeros(lattice)
-            out[self.sites] = self._inverse(spec, *self._window)
+            out[self.sites] = window
         if level:
             out += level * float(self.spot.sum())
         return out
 
     def forward_window(self, x: np.ndarray) -> np.ndarray:
         """The zero-background scan of ``x`` at the window ``sites``; it is 0 elsewhere."""
-        return self._inverse(self.spectrum(x) * self.transfer, *self._window)
+        spec = self.spectrum(x)
+        spec *= self.transfer
+        return self._inverse(spec, *self._window)
 
     def forward_spectrum(self, x: np.ndarray) -> np.ndarray:
         """:meth:`spectrum` of :meth:`forward_window` of ``x``."""
@@ -186,12 +187,18 @@ class ScanOperator:
 
     def deconvolve(self, y: np.ndarray, divide) -> np.ndarray:
         """``divide(transfer, spectrum)`` of the sites :meth:`adjoint` reads, transformed back."""
+        if self._offset:  # the window crops the correlation: no division recovers x
+            raise ValueError(f"spectral methods need extension >= {self.spot.shape[0] // 2} "
+                             f"(half the spot side), got {self.extension}")
         return self._inverse(divide(self.transfer, self.spectrum(y[self.sites])), *self.shape)
 
     def _inverse(self, spec: np.ndarray, rows: int, cols: int) -> np.ndarray:
         # irfft2(spec, grid)[:rows, :cols] bitwise: numpy's irfft2 runs this
         # axis-0 ifft, then a last-axis irfft that treats each row on its own.
         return np.fft.irfft(np.fft.ifft(spec, axis=0)[:rows], self.grid[1], axis=1)[:, :cols]
+
+
+SCAN_METHODS = ("auto", "fft", "direct")
 
 
 def _scan_field(sample: np.ndarray, kernel: np.ndarray, extension: int,
@@ -205,7 +212,7 @@ def _scan_field(sample: np.ndarray, kernel: np.ndarray, extension: int,
     if method == "direct":
         pad = extension + kernel.shape[0] // 2
         return _corr_valid_direct(np.pad(sample, pad, constant_values=level), kernel, step)
-    raise ValueError(f"unknown method {method!r}, expected fft, direct or auto")
+    raise ValueError(f"unknown method {method!r}, expected one of {', '.join(SCAN_METHODS)}")
 
 
 def scan_dims(sample_width: int, sample_height: int, config: ScanConfig) -> tuple[int, int]:
@@ -222,10 +229,7 @@ def simulate_scan(sample: Image, spot: SpotImage, config: ScanConfig,
     Each output pixel is sum(spot * extended_sample) under the footprint
     at its lattice site; the extended sample equals the background level
     outside the sample bounds. Output pitch is sample pitch times step.
-
-    method selects the computation path: "auto" (the default) or "fft"
-    runs :class:`ScanOperator`; "direct" (vectorized row-major
-    accumulation) is the bit-reproducible reference.
+    method is one of ``SCAN_METHODS``, each described in the module docstring.
     """
     out_w, out_h = scan_dims(sample.width, sample.height, config)
     if out_w < 1 or out_h < 1:
@@ -250,8 +254,7 @@ def widefield_blur(sample: Image, microscope_psf: Image, method: str = "auto") -
     psf = microscope_psf.pixels
     if psf.shape[0] != psf.shape[1]:
         raise ValueError(f"psf must be square, got {psf.shape[1]}x{psf.shape[0]}")
-    if psf.shape[0] % 2 == 0:
-        raise ValueError(f"psf side must be odd, got {psf.shape[0]}")
+    _odd("psf side", psf.shape[0])
     cut = max(psf.shape[0] // 2 - (max(sample.pixels.shape) - 1), 0)
     psf = psf[cut : psf.shape[0] - cut, cut : psf.shape[0] - cut]
     # convolution = correlation with the flipped kernel
@@ -270,5 +273,8 @@ def add_noise(image: Image, sigma: float, seed: int) -> Image:
     if sigma == 0.0:
         return image
     gen = np.random.Generator(np.random.PCG64(seed))
-    noise = sigma * gen.standard_normal(image.pixels.shape)
-    return Image(image.pixels + noise, image.pitch)
+    with np.errstate(over="ignore"):  # reported below under sigma's name
+        noisy = image.pixels + sigma * gen.standard_normal(image.pixels.shape)
+    if not np.all(np.isfinite(noisy)):
+        raise ValueError(f"sigma must keep the noisy pixels finite, got {sigma}")
+    return Image(noisy, image.pitch)

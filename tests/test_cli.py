@@ -21,6 +21,7 @@ from densescan.cli import (
 from densescan.grid import load_ddsf, new_image, save_ddsf
 from densescan.metrics import CSV_HEADER
 from densescan.psf import AiryCore, Gaussian, SpotImage, make_microscope_psf, make_spot
+from densescan.scanner import ConstantBackground
 
 SMALL_CONFIG = """
 # compact harness instance for fast end-to-end checks
@@ -242,6 +243,13 @@ def test_blur_with_generated_airy(tmp_path):
                  "--psf-side", "17", "-o", str(out)]) == 0
     im = load_ddsf(out)
     assert (im.width, im.height) == (32, 32)
+    # the same PSF from a file, and from the side --airy-radius 8 implies, 2 ceil(8) + 1
+    psf = tmp_path / "psf.ddsf"
+    save_ddsf(make_microscope_psf(8.0, 17), psf)
+    for source in (["--psf", str(psf)], ["--airy-radius", "8"]):
+        again = tmp_path / "again.ddsf"
+        assert main(["blur", "--sample", str(sample), *source, "-o", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
 
 
 def test_contrast_subcommand(tmp_path, capsys):
@@ -276,9 +284,11 @@ def test_config_unknown_key(tmp_path):
 
 def test_config_bad_value(tmp_path):
     path = tmp_path / "c.txt"
-    path.write_text("roi_width = banana\n")
-    with pytest.raises(ConfigError, match="bad value"):
-        load_config(path)
+    for text, message in (("roi_width = banana\n", "bad value for roi_width"),
+                          ("background = blue\n", "background must be 'zero' or 'constant")):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
 
 
 def test_config_bad_syntax(tmp_path):
@@ -296,12 +306,15 @@ def test_config_requires_dense_step(tmp_path):
 
 
 def test_config_text_roundtrip(tmp_path):
-    path = write_small_config(tmp_path)
-    cfg = load_config(path)
-    echo = tmp_path / "echo.txt"
-    echo.write_text(config_text(cfg))
-    again = load_config(echo)
-    assert again == cfg
+    # config_text is what run_pipeline writes to run_config.txt
+    for extra in ("", "background = constant:0.25\n"):
+        cfg = load_config(write_small_config(tmp_path, extra))
+        echo = tmp_path / "echo.txt"
+        echo.write_text(config_text(cfg))
+        again = load_config(echo)
+        assert again == cfg
+    assert again.background == ConstantBackground(0.25)
+    assert "background = constant:0.25\n" in config_text(again)
 
 
 def test_pipeline_bad_config_exits_2(tmp_path, capsys):
@@ -327,6 +340,11 @@ def test_build_target_inset_geometry():
     # cleared box is empty except the two probes
     box = target.pixels[10:31, 10:31]
     assert box.sum() == 2.0
+    # separation 0 leaves the base pattern; a pair wider than the box does not fit
+    base = cli.generate(cli.PATTERNS[cfg.pattern](cfg), 64, 64, cfg.pitch)
+    assert np.array_equal(build_target(replace(cfg, inset_pair_separation=0)).pixels, base.pixels)
+    with pytest.raises(ConfigError, match="inset pair separation exceeds the cleared box"):
+        build_target(replace(cfg, inset_pair_separation=21))
 
 
 def test_build_target_takes_integral_floats():
@@ -433,6 +451,37 @@ def test_pipeline_noise_sweep_repeated_sigma_keeps_each_row(tmp_path):
         "recovered_vs_expected[sigma=1e-06]"]
     assert lines[2] == lines[3]
     assert sorted(run["sweep_reports"]) == [0.0, 1e-6]
+
+
+def test_gen_spot_huge_sigma_writes_the_uniform_spot(tmp_path):
+    out = tmp_path / "spot.ddsf"
+    assert main(["gen-spot", "--profile", "gaussian", "--side", "9", "--sigma", "1e200",
+                 "-o", str(out)]) == 0
+    assert np.array_equal(load_ddsf(out).pixels, np.full((9, 9), 1 / 81))
+
+
+def test_gen_sample_bar_period_past_int64(tmp_path):
+    # every column lies in the first bar's on-width of 5e19 px
+    out = tmp_path / "sample.ddsf"
+    assert main(["gen-sample", "--pattern", "bar-grid", "--size", "16",
+                 "--period", str(10**20), "-o", str(out)]) == 0
+    assert np.all(load_ddsf(out).pixels == 1.0)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-sample", "--pattern", "siemens-star", "--size", "16", "--spokes", str(10**20)],
+     "spokes must be <= 2**52, got 100000000000000000000"),
+    (["noise", "--input", "{sample}", "--sigma", "1e308"],
+     "sigma must keep the noisy pixels finite, got 1e+308"),
+], ids=["spokes", "noise-sigma"])
+def test_overflowing_value_exits_2_naming_it(tmp_path, capsys, argv, message):
+    # RuntimeWarnings are errors under pytest, so this also checks that neither warns
+    sample = tmp_path / "s.ddsf"
+    save_ddsf(new_image(64, 64, 1.0, 0.0), sample)
+    out = tmp_path / "out.ddsf"
+    assert main([a.format(sample=sample) for a in argv] + ["-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"densescan: invalid argument: {message}\n"
+    assert not out.exists()
 
 
 def test_default_config_is_valid():

@@ -425,6 +425,14 @@ def test_cgls_zero_data(rng):
     res = recover(zero, spot, Rect(0, 0, 8, 8), 8, LeastSquaresCG(1e-10, 50))
     assert np.all(res.recovered.pixels == 0.0)
     assert res.residual_norm == 0.0
+    # data only in the ring no iterate can reach: CGLS takes no step and reports the
+    # rescanned residual of x = 0
+    ring = np.zeros((32, 32))
+    ring[0] = 0.5
+    res = recover(Image(ring, 1.0), make_spot(Gaussian(0.6), 7), Rect(0, 0, 20, 20), 6,
+                  LeastSquaresCG(1e-3, 100))
+    assert (res.iterations_used, res.residual_norm) == (0, 1.0)
+    assert np.all(res.recovered.pixels == 0.0)
 
 
 @pytest.mark.parametrize("n, side, ext", [(20, 7, 1), (20, 7, 3), (20, 7, 6), (64, 15, 14)],

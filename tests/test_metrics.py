@@ -102,6 +102,9 @@ def test_contrast_full_dip():
 def test_contrast_constant_image():
     im = new_image(9, 9, 1.0, 3.0)
     assert two_point_contrast(im, (1, 4), (7, 4)) == 0.0
+    # peaks that are not positive give no contrast, whatever lies between them
+    for fill in (0.0, -3.0):
+        assert two_point_contrast(new_image(9, 9, 1.0, fill), (1, 4), (7, 4)) == 0.0
 
 
 def test_contrast_no_dip_when_middle_higher():

@@ -48,6 +48,14 @@ def test_bar_grid_period_structure():
     assert np.array_equal(im.pixels, np.tile(expect_cols, (3, 1)))
 
 
+@pytest.mark.parametrize("period", [7, 8, 9, 24, 10**20])
+def test_bar_grid_period_at_or_past_the_canvas(period):
+    # Python ints do not overflow, so this oracle takes any period
+    on = max(1, min(period, round(period * 0.5)))
+    cols = [1.0 if x % period < on else 0.0 for x in range(8)]
+    assert np.array_equal(generate(BarGrid(period, 0.5), 8, 2, 1.0).pixels, np.tile(cols, (2, 1)))
+
+
 def test_siemens_star_binary_with_margin():
     im = generate(SiemensStar(8), 64, 64, 1.0)
     px = im.pixels
@@ -139,6 +147,10 @@ def test_spec_validation():
     for value in (math.inf, math.nan):
         with pytest.raises(ValueError, match="radius"):
             RandomBlobs(1, value, 1)
+    # wedge indices run to 2 * spokes, and float64 holds no odd integer past 2**53
+    generate(SiemensStar(2**52), 16, 16, 1.0)
+    with pytest.raises(ValueError, match=r"spokes must be <= 2\*\*52, got 4503599627370497"):
+        SiemensStar(2**52 + 1)
 
 
 @pytest.mark.parametrize("spec, as_int, name", [

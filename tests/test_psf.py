@@ -390,3 +390,9 @@ def test_tiny_scales_give_a_delta_without_warnings():
     # v = AIRY_FIRST_ZERO * r / R overflows off-centre; its intensity limit is 0
     assert np.array_equal(make_microscope_psf(1e-310, 9).pixels, delta)
     assert np.array_equal(_airy_intensity(np.array([0.0, 1.0, np.inf]), 1e-310), [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("sigma", [1e154, 1e200, 1.7e308])
+def test_huge_gaussian_sigma_gives_the_uniform_spot_without_warnings(sigma):
+    # 2 sigma^2 overflows to inf, so every -r^2 / (2 sigma^2) is -0.0 and exp gives 1
+    assert np.array_equal(make_spot(Gaussian(sigma), 9).pixels, np.full((9, 9), 1 / 81))

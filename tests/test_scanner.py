@@ -74,6 +74,11 @@ def test_scan_config_validation():
     for value in (*NOT_INTEGERS, -1):
         with pytest.raises(ValueError, match="extension"):
             ScanConfig(1, value)
+    with pytest.raises(ValueError, match="unknown background model 'x'"):
+        ScanConfig(background="x")
+    sample, spot = new_image(4, 4, 1.0, 1.0), make_spot(Disk(0.5), 1)
+    with pytest.raises(ValueError, match="unknown method 'bogus', expected one of auto, fft"):
+        simulate_scan(sample, spot, ScanConfig(), method="bogus")
 
 
 # --- forward model vs oracles --------------------------------------------------
@@ -405,6 +410,9 @@ def test_noise_rejects_negative_sigma():
     for sigma in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="sigma"):
             add_noise(new_image(2, 2, 1.0, 0.0), sigma, 1)
+    # finite, but some of the 4096 draws take the pixels past the float64 range
+    with pytest.raises(ValueError, match=r"^sigma must keep the noisy pixels finite, got 1e\+308$"):
+        add_noise(new_image(64, 64, 1.0, 0.0), 1e308, 1)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
