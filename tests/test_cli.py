@@ -453,19 +453,17 @@ def test_pipeline_noise_sweep_repeated_sigma_keeps_each_row(tmp_path):
     assert sorted(run["sweep_reports"]) == [0.0, 1e-6]
 
 
-def test_gen_spot_huge_sigma_writes_the_uniform_spot(tmp_path):
-    out = tmp_path / "spot.ddsf"
-    assert main(["gen-spot", "--profile", "gaussian", "--side", "9", "--sigma", "1e200",
-                 "-o", str(out)]) == 0
-    assert np.array_equal(load_ddsf(out).pixels, np.full((9, 9), 1 / 81))
-
-
-def test_gen_sample_bar_period_past_int64(tmp_path):
-    # every column lies in the first bar's on-width of 5e19 px
-    out = tmp_path / "sample.ddsf"
-    assert main(["gen-sample", "--pattern", "bar-grid", "--size", "16",
-                 "--period", str(10**20), "-o", str(out)]) == 0
-    assert np.all(load_ddsf(out).pixels == 1.0)
+@pytest.mark.parametrize("argv, expected", [
+    (["gen-spot", "--profile", "gaussian", "--side", "9", "--sigma", "1e200"],
+     np.full((9, 9), 1 / 81)),
+    (["gen-sample", "--pattern", "bar-grid", "--size", "16", "--period", str(10**20)],
+     np.ones((16, 16))),
+], ids=["gaussian-sigma", "bar-period"])
+def test_value_past_the_float_or_int64_range_writes_its_limit(tmp_path, argv, expected):
+    # the uniform spot of an infinite sigma; every column inside the first 5e19 px bar
+    out = tmp_path / "out.ddsf"
+    assert main([*argv, "-o", str(out)]) == 0
+    assert np.array_equal(load_ddsf(out).pixels, expected)
 
 
 @pytest.mark.parametrize("argv, message", [
