@@ -138,8 +138,7 @@ def dft2_inverse(spectrum) -> np.ndarray:
     return np.fft.ifft2(arr)
 
 
-def _checked_operator(y: np.ndarray, spot: np.ndarray, extension: int,
-                      roi: Rect | None = None) -> ScanOperator:
+def _checked_operator(y: np.ndarray, spot: np.ndarray, extension: int, roi: Rect) -> ScanOperator:
     """Check that ``y`` less ``extension`` px per side leaves a sample
     extent holding ``roi``; return the scan operator of that extent."""
     extension = _integer("extension", extension, 0)
@@ -148,8 +147,7 @@ def _checked_operator(y: np.ndarray, spot: np.ndarray, extension: int,
         raise ValueError(
             f"extension {extension} inconsistent with intermediate {y.shape[1]}x{y.shape[0]}"
         )
-    if roi is not None and (roi.x0 < 0 or roi.y0 < 0 or roi.x0 + roi.width > base_w
-                            or roi.y0 + roi.height > base_h):
+    if roi.x0 < 0 or roi.y0 < 0 or roi.x0 + roi.width > base_w or roi.y0 + roi.height > base_h:
         raise ValueError(f"roi {roi} exceeds the reconstructed extent {base_w}x{base_h}")
     return ScanOperator(spot, (base_h, base_w), extension)
 

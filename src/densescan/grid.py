@@ -6,7 +6,9 @@ threads. :class:`Image` copies its pixels, except that it adopts an
 array that is already frozen and owns its data (float64, C-contiguous,
 read-only, ``flags.owndata``). Views of a read-only array are read-only
 too, so a builder that freezes its fresh result, holding no writable
-view of it, hands it over without a copy.
+view of it, hands it over without a copy. :class:`Image` is the one gate
+for pixel values and the pitch; :func:`load_ddsf` and ``scanner.add_noise``
+check neither and translate its ValueError into their own.
 
 Every module checks its scalar parameters with the same four guards:
 :func:`_integer` (integral, finite and >= a minimum; returns the int, so
@@ -143,11 +145,9 @@ def pad(image: Image, border: int, value: float = 0.0) -> Image:
     """Surround an image with a constant border on all four sides.
 
     The interior is copied bit-exactly; output dims grow by 2*border per
-    axis. border = 0 returns an identical image.
+    axis, so border = 0 returns equal pixels.
     """
     border = _integer("border", border, 0)
-    if border == 0:
-        return Image(image.pixels, image.pitch)
     out = np.pad(image.pixels, border, mode="constant", constant_values=float(value))
     return Image(out, image.pitch)
 
@@ -181,8 +181,8 @@ def save_ddsf(image: Image, path: str | Path) -> None:
 def load_ddsf(path: str | Path) -> Image:
     """Read a DDSF file written by :func:`save_ddsf`.
 
-    Raises FormatError with a distinct message for bad magic, truncated
-    header or payload, trailing bytes, or invalid header fields.
+    Raises FormatError with a distinct message for bad magic, truncation,
+    trailing bytes or zero dimensions, else with :class:`Image`'s message.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -193,8 +193,6 @@ def load_ddsf(path: str | Path) -> Image:
         raise FormatError(f"bad magic {magic!r}, expected {DDSF_MAGIC!r}")
     if width < 1 or height < 1:
         raise FormatError(f"invalid dimensions {width}x{height}")
-    if not np.isfinite(pitch) or pitch <= 0.0:
-        raise FormatError(f"invalid pitch {pitch}")
     expected = width * height * 8
     got = len(blob) - DDSF_HEADER.size
     if got < expected:
@@ -202,9 +200,10 @@ def load_ddsf(path: str | Path) -> Image:
     if got > expected:
         raise FormatError(f"trailing bytes: {got - expected} past the payload")
     data = np.frombuffer(blob, dtype="<f8", count=width * height, offset=DDSF_HEADER.size)
-    if not np.all(np.isfinite(data)):
-        raise FormatError("non-finite pixel data")
-    return Image(data.reshape(height, width), pitch)
+    try:
+        return Image(data.reshape(height, width), pitch)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def export_pgm(image: Image, path: str | Path, bit_depth: int = 8) -> None:

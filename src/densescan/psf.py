@@ -175,15 +175,12 @@ def bessel_j1(x):
     scalar = arr.ndim == 0
     a = np.atleast_1d(arr)
     small = np.abs(a) <= _SERIES_CUTOFF
-    if a.size and small.all():
-        out = _j1_series(a)
-    else:
-        out = np.empty_like(a)
-        if small.any():
-            out[small] = _j1_series(a[small])
-        large = ~small
-        if large.any():
-            out[large] = _j1_asymptotic(a[large])
+    out = np.empty_like(a)
+    if small.any():
+        out[small] = _j1_series(a[small])
+    large = ~small
+    if large.any():
+        out[large] = _j1_asymptotic(a[large])
     return float(out[0]) if scalar else out
 
 

@@ -36,7 +36,6 @@ the step equals the spot side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -113,7 +112,7 @@ def _transfer(spot: np.ndarray, grid: tuple[int, int], offset: int) -> np.ndarra
 class ScanOperator:
     """The step-1 scan of a sample of ``shape`` (rows, columns), built
     once per (spot, sample shape, extension); see the module docstring.
-    The kernel's ``transfer`` is computed on first use.
+    The kernel's ``transfer`` is computed when the operator is built.
     """
 
     def __init__(self, spot: np.ndarray, shape: tuple[int, int], extension: int) -> None:
@@ -129,12 +128,9 @@ class ScanOperator:
         self._window = (shape[0] + 2 * pad, shape[1] + 2 * pad)
         self.sites = tuple(slice(start, start + n) for n in self._window)
         self._offset = pad - ctr
-
-    @cached_property
-    def transfer(self) -> np.ndarray:
         # Fields sit at the grid origin; the kernel's offset puts window
         # site 0 at grid index 0, so no call shifts an input or output.
-        return _transfer(self.spot, self.grid, self._offset)
+        self.transfer = _transfer(spot, self.grid, self._offset)
 
     def forward(self, x: np.ndarray, level: float = 0.0) -> np.ndarray:
         """Scan field of ``x`` with the sample extended by ``level``."""
@@ -274,8 +270,10 @@ def add_noise(image: Image, sigma: float, seed: int) -> Image:
     if sigma == 0.0:
         return image
     gen = np.random.Generator(np.random.PCG64(seed))
-    with np.errstate(over="ignore"):  # reported below under sigma's name
+    with np.errstate(over="ignore"):  # Image's finiteness check reports it under sigma's name
         noisy = image.pixels + sigma * gen.standard_normal(image.pixels.shape)
-    if not np.all(np.isfinite(noisy)):
-        raise ValueError(f"sigma must keep the noisy pixels finite, got {sigma}")
-    return Image(noisy, image.pitch)
+    noisy.setflags(write=False)  # fresh and owned: Image adopts it without a copy
+    try:
+        return Image(noisy, image.pitch)
+    except ValueError as exc:
+        raise ValueError(f"sigma must keep the noisy pixels finite, got {sigma}") from exc
