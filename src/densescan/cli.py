@@ -6,8 +6,10 @@ configuration error.
 """
 
 import argparse
+import errno
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -229,6 +231,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
     """
     _validate_config(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    _check_output(out, directory=True)
 
     try:
         # the cheap constructors first, so their bad values fail fast
@@ -288,6 +291,24 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
         "sweep_reports": dict(sweep),
         "result": result,
     }
+
+
+def _check_output(path: Path, directory: bool) -> None:
+    """Raise now, creating nothing, the OSError that writing the file ``path`` (or making
+    the directory ``path``) would raise: a directory on its way is missing or a file."""
+    probe = path if directory else path.parent
+    while True:
+        try:
+            if probe.is_dir():
+                return
+            probe.stat()  # raises if probe is missing; else it is no directory
+            code = errno.EEXIST if probe == path else errno.ENOTDIR
+        except OSError as exc:
+            if exc.errno == errno.ENOENT and directory and probe != probe.parent:
+                probe = probe.parent  # mkdir(parents=True) makes it
+                continue
+            code = exc.errno
+        raise OSError(code, os.strerror(code), str(path))
 
 
 def _csv_text(rows) -> str:
@@ -481,6 +502,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if hasattr(args, "output") and args.command != "pipeline":  # pipeline's -o is a directory
+            _check_output(Path(args.output), directory=False)
         image = args.func(args)
         if image is not None:
             save_ddsf(image, args.output)
@@ -489,6 +512,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"densescan: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"densescan: out of memory: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"densescan: config error: {exc}", file=sys.stderr)

@@ -37,7 +37,7 @@ from .grid import Image, Rect, _integer, _nonnegative, _positive
 from .psf import SpotImage
 from .scanner import Background, ScanOperator, ZeroBackground
 
-_RL_DIVISION_GUARD = 1e-12
+_RL_DIVISION_GUARD = 1e-12  # times max|y| over the window: RL divides by no less
 
 
 class _SpectralSolve:
@@ -168,10 +168,13 @@ def adjoint_apply(image: Image, spot: SpotImage, roi: Rect, extension: int) -> I
 
 def _richardson_lucy(op: ScanOperator, y: np.ndarray, iterations: int,
                      on_iterate=None) -> np.ndarray:
-    start = max(float(y.mean()), np.finfo(np.float64).tiny)
-    x = np.full(op.shape, start)
+    tiny = np.finfo(np.float64).tiny
+    x = np.full(op.shape, max(float(y.mean()), tiny))
+    window = y[op.sites]
+    # relative to the data, so that RL(c y) = c RL(y) at any scale c
+    guard = max(_RL_DIVISION_GUARD * float(np.abs(window).max()), tiny)
     for _ in range(iterations):
-        ratio = y[op.sites] / np.maximum(op.forward_window(x), _RL_DIVISION_GUARD)
+        ratio = window / np.maximum(op.forward_window(x), guard)
         # clamp keeps iterates exactly nonnegative even for signed data
         multiplier = np.maximum(op.transpose(op.spectrum(ratio)), 0.0)
         x = x * multiplier

@@ -18,7 +18,7 @@ from densescan.cli import (
     main,
     run_pipeline,
 )
-from densescan.grid import load_ddsf, new_image, save_ddsf
+from densescan.grid import DDSF_HEADER, DDSF_MAGIC, load_ddsf, new_image, save_ddsf
 from densescan.metrics import CSV_HEADER
 from densescan.psf import AiryCore, Gaussian, SpotImage, make_microscope_psf, make_spot
 from densescan.scanner import ConstantBackground
@@ -763,6 +763,90 @@ def test_blur_rejects_bad_airy_radius(tmp_path, capsys, radius):
                  "-o", str(out)]) == 2
     assert "first_zero_radius must be > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ddsf_with_a_bad_pitch_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "p.ddsf"
+    path.write_bytes(DDSF_HEADER.pack(DDSF_MAGIC, 1, 1, float("nan")) + bytes(8))
+    assert main(["compare", "--a", str(path), "--b", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "densescan: format error: pitch must be a positive finite value, got nan\n")
+
+
+def test_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    # a stage that raises stands in for an allocation too large for the machine
+    message = "Unable to allocate 74.5 GiB for an array with shape (100001, 100001)"
+
+    def no_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate", no_memory)
+    out = tmp_path / "x.ddsf"
+    assert main(["gen-sample", "--pattern", "bar-grid", "--size", "100001", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"densescan: out of memory: {message}\n"
+    assert not out.exists()
+
+
+# --- an output that cannot be written fails before the work -------------------------
+
+@pytest.mark.parametrize("where, message", [
+    ("nodir/x.ddsf", "[Errno 2] No such file or directory"),
+    ("file/x.ddsf", "[Errno 20] Not a directory"),
+], ids=["missing-directory", "under-a-file"])
+def test_deconv_unwritable_output_fails_before_the_solve(tmp_path, monkeypatch, capsys,
+                                                         where, message):
+    inter, spot = tmp_path / "inter.ddsf", tmp_path / "spot.ddsf"
+    save_ddsf(new_image(20, 20, 1.0, 1.0), inter)
+    save_ddsf(make_spot(Gaussian(1.0), 5).image, spot)
+    (tmp_path / "file").write_text("")
+    calls = []
+    real_recover = cli.recover
+
+    def counting_recover(*args):
+        calls.append(args)
+        return real_recover(*args)
+
+    monkeypatch.setattr(cli, "recover", counting_recover)
+    out = tmp_path / where
+    assert main(["deconv", "--intermediate", str(inter), "--spot", str(spot), "--extension", "4",
+                 "--method", "cgls", "--max-iters", "5", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.out == ""
+    assert captured.err == f"densescan: {message}: {str(out)!r}\n"
+
+
+@pytest.mark.parametrize("where, message", [
+    ("file/run", "[Errno 20] Not a directory"),
+    ("file/a/run", "[Errno 20] Not a directory"),
+    ("file", "[Errno 17] File exists"),
+], ids=["under-a-file", "deeper-under-a-file", "a-file"])
+def test_pipeline_unwritable_output_fails_before_any_stage(tmp_path, monkeypatch, capsys,
+                                                          where, message):
+    (tmp_path / "file").write_text("")
+    calls = []
+    real_build_spot = cli.build_spot
+
+    def counting_build_spot(*args):
+        calls.append(args)
+        return real_build_spot(*args)
+
+    monkeypatch.setattr(cli, "build_spot", counting_build_spot)
+    path = write_small_config(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / where
+    assert main(["pipeline", "--config", str(path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.out == ""
+    assert captured.err == f"densescan: {message}: {str(out)!r}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_pipeline_makes_its_missing_output_directories(tmp_path):
+    out = tmp_path / "a" / "b" / "run"
+    run_pipeline(load_config(write_small_config(tmp_path)), out)
+    assert (out / "metrics.csv").is_file()
 
 
 def test_readme_config_block_is_the_default(tmp_path):

@@ -367,11 +367,28 @@ def test_rl_window_iterates_equal_the_lattice_loop(rng, ext):
     iterates = []
     _richardson_lucy(op, y, 15, on_iterate=iterates.append)
     x = np.full(op.shape, y.mean())
+    guard = 1e-12 * np.abs(y[op.sites]).max()
     for got in iterates:
-        ratio = y / np.maximum(op.forward(x), 1e-12)
+        ratio = y / np.maximum(op.forward(x), guard)
         x = x * np.maximum(op.adjoint(ratio), 0.0)
         assert np.array_equal(got, x)
     assert len(iterates) == 15
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e-12, 1e-100])
+def test_rl_is_scale_equivariant(rng, scale):
+    # the division guard is relative to the data, so scaling the data scales the answer;
+    # an absolute 1e-12 guard returned 0 with residual 1 at scale 1e-12
+    sample = Image(rng.random((20, 20)), 1.0)
+    spot = make_spot(Gaussian(1.2), 7)
+    inter = forward(sample, spot, 6)
+    scaled = Image(scale * inter.pixels, 1.0)
+    roi = Rect(0, 0, 20, 20)
+    ref = recover(inter, spot, roi, 6, RichardsonLucy(20))
+    got = recover(scaled, spot, roi, 6, RichardsonLucy(20))
+    peak = ref.recovered.pixels.max()
+    assert np.max(np.abs(got.recovered.pixels / scale - ref.recovered.pixels)) <= 1e-12 * peak
+    assert got.residual_norm == pytest.approx(ref.residual_norm, rel=1e-9)
 
 
 def test_rl_improves_with_iterations(rng):

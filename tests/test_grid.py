@@ -288,6 +288,18 @@ def test_ddsf_zero_dims(tmp_path):
         load_ddsf(path)
 
 
+@pytest.mark.parametrize("pitch", [0.0, -1.0, np.nan, np.inf], ids=["0", "-1", "nan", "inf"])
+def test_ddsf_bad_pitch(tmp_path, pitch):
+    # Image checks the pitch; load_ddsf reports its message as a FormatError
+    path = tmp_path / "x.ddsf"
+    save_ddsf(new_image(2, 2, 1.0, 0.0), path)
+    blob = bytearray(path.read_bytes())
+    blob[16:24] = np.array([pitch], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="pitch"):
+        load_ddsf(path)
+
+
 def test_ddsf_non_finite_payload(tmp_path):
     path = tmp_path / "x.ddsf"
     save_ddsf(new_image(1, 1, 1.0, 0.0), path)
