@@ -227,7 +227,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
     per sigma (each injected into the clean intermediate at the fixed
     noise seed). Every stage is built and every result computed before
     the first file is written: each value is checked by the stage that
-    uses it, so a bad one raises ConfigError with no output written.
+    uses it, so a bad one raises ConfigError with no output written. An
+    output directory that cannot be made raises OSError before any stage.
     """
     _validate_config(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
@@ -297,16 +298,13 @@ def _check_output(path: Path, directory: bool) -> None:
     """Raise now, creating nothing, the OSError that writing the file ``path`` (or making
     the directory ``path``) would raise: a directory on its way is missing or a file."""
     probe = path if directory else path.parent
-    while True:
+    while directory and not probe.exists() and probe != probe.parent:
+        probe = probe.parent  # mkdir(parents=True) makes it
+    if not probe.is_dir():
         try:
-            if probe.is_dir():
-                return
-            probe.stat()  # raises if probe is missing; else it is no directory
+            probe.stat()  # it exists, so it is no directory
             code = errno.EEXIST if probe == path else errno.ENOTDIR
-        except OSError as exc:
-            if exc.errno == errno.ENOENT and directory and probe != probe.parent:
-                probe = probe.parent  # mkdir(parents=True) makes it
-                continue
+        except OSError as exc:  # a file's missing directory, or one under a file
             code = exc.errno
         raise OSError(code, os.strerror(code), str(path))
 

@@ -37,7 +37,7 @@ from .grid import Image, Rect, _integer, _nonnegative, _positive
 from .psf import SpotImage
 from .scanner import Background, ScanOperator, ZeroBackground
 
-_RL_DIVISION_GUARD = 1e-12  # times max|y| over the window: RL divides by no less
+_RL_DIVISION_GUARD = 1e-12  # relative to max|y| over the window
 
 
 class _SpectralSolve:
