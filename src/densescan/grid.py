@@ -20,7 +20,10 @@ included, raises a ValueError that names the parameter.
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -185,23 +188,33 @@ def load_ddsf(path: str | Path) -> Image:
     trailing bytes or zero dimensions, else with :class:`Image`'s message.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < DDSF_HEADER.size:
-        raise FormatError(f"truncated header: {len(blob)} bytes < {DDSF_HEADER.size}")
-    magic, width, height, pitch = DDSF_HEADER.unpack_from(blob)
-    if magic != DDSF_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {DDSF_MAGIC!r}")
-    if width < 1 or height < 1:
-        raise FormatError(f"invalid dimensions {width}x{height}")
-    expected = width * height * 8
-    got = len(blob) - DDSF_HEADER.size
+        head = fh.read(DDSF_HEADER.size)
+        if len(head) < DDSF_HEADER.size:
+            raise FormatError(f"truncated header: {len(head)} bytes < {DDSF_HEADER.size}")
+        magic, width, height, pitch = DDSF_HEADER.unpack(head)
+        if magic != DDSF_MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {DDSF_MAGIC!r}")
+        if width < 1 or height < 1:
+            raise FormatError(f"invalid dimensions {width}x{height}")
+        expected = width * height * 8
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            got, body = info.st_size - DDSF_HEADER.size, fh
+        else:  # a pipe has no size until it is read
+            blob = fh.read()
+            got, body = len(blob), io.BytesIO(blob)
+        if got == expected:  # a header that claims more than the file holds allocates nothing
+            data = np.empty((height, width), "<f8")
+            got = body.readinto(data)  # short only if the file shrank since fstat
     if got < expected:
         raise FormatError(f"truncated payload: {got} bytes < {expected}")
     if got > expected:
         raise FormatError(f"trailing bytes: {got - expected} past the payload")
-    data = np.frombuffer(blob, dtype="<f8", count=width * height, offset=DDSF_HEADER.size)
+    # fresh and owned: frozen in native order, Image adopts it without a copy
+    data = data.astype(np.float64, copy=False)
+    data.setflags(write=False)
     try:
-        return Image(data.reshape(height, width), pitch)
+        return Image(data, pitch)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -9,16 +9,18 @@ field, so usual-scan outputs are bit-identical to subsampled dense-scan
 outputs by construction.
 
 That correlation is one linear map, :class:`ScanOperator`, used by the
-fft scan, all four solvers and the wide-field blur. Only the
-N + spot_side - 1 sites per axis whose footprint meets an N-px sample
-can be nonzero, so it computes the linear correlation on a circular grid
-of the next 5-smooth (fast FFT) length >= N + spot_side - 1 per axis,
-where the circular product is exact. When extension > spot_side // 2 it
-writes the result into a zero lattice, so the zero border is exact;
-otherwise (every blur) the result, cropped when extension <
-spot_side // 2, is the lattice itself, returned with no copy. Its
-inverse FFT transforms back only the rows it keeps (300 of 900 in the
-default blur), bitwise equal to ``irfft2`` and crop. The spectral
+fft scan, all four solvers and the wide-field blur. Only the sites
+within pad = min(extension, spot_side // 2) px of an N-px sample can be
+nonzero, N + 2 * pad per axis. It computes them on a circular grid of
+the next 5-smooth (fast FFT) length >= N + pad + spot_side // 2 per
+axis, the shortest on which no kept site reads a wrapped sample
+(overlap-save), so the circular product is exact there: N + spot_side -
+1 when extension >= spot_side // 2, N + spot_side // 2 for a blur. When
+extension > spot_side // 2 it writes the result into a zero lattice, so
+the zero border is exact; otherwise (every blur) the result, cropped
+when extension < spot_side // 2, is the lattice itself, returned with no
+copy. Its inverse FFT transforms back only the rows it keeps (300 of 600
+in the default blur), bitwise equal to ``irfft2`` and crop. The spectral
 solvers divide by its transfer in :meth:`~ScanOperator.deconvolve`,
 which alone holds their rule: exact only when extension >=
 spot_side // 2, it raises below that. The wide-field blur is the same
@@ -121,7 +123,11 @@ class ScanOperator:
         self.spot = spot
         self.shape = shape
         self.extension = extension
-        self.grid = tuple(_fast_len(n + 2 * ctr) for n in shape)
+        # A kept site reads up to pad + ctr px outside the sample, so on this
+        # grid no read wraps onto the sample (overlap-save). A spot wider than
+        # the grid wraps taps onto each other, but only onto residues whose
+        # reads from every kept site miss the sample.
+        self.grid = tuple(_fast_len(n + pad + ctr) for n in shape)
         # Only the lattice window of the sites within ctr px of the sample
         # is nonzero; it starts at lattice site extension - pad.
         start = extension - pad

@@ -1,4 +1,7 @@
+import os
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +279,61 @@ def test_ddsf_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 4)
     with pytest.raises(FormatError, match="trailing"):
         load_ddsf(path)
+
+
+def test_ddsf_load_holds_one_payload(tmp_path):
+    # the payload is read into the array that Image adopts: no second copy
+    path = tmp_path / "x.ddsf"
+    im = Image(np.random.default_rng(8).random((501, 501)), 0.1)
+    save_ddsf(im, path)
+    tracemalloc.start()
+    try:
+        back = load_ddsf(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.pixels, im.pixels)
+    assert peak <= 1.25 * im.pixels.nbytes
+
+
+def test_ddsf_huge_header_on_short_file(tmp_path):
+    # a header claiming 65535 x 65535 (34 GB) on a 4-pixel file allocates nothing
+    path = tmp_path / "x.ddsf"
+    save_ddsf(new_image(2, 2, 1.0, 0.0), path)
+    blob = bytearray(path.read_bytes())
+    blob[8:16] = (65535).to_bytes(4, "little") * 2
+    path.write_bytes(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated payload"):
+            load_ddsf(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("cut", [0, 8], ids=["whole", "truncated"])
+def test_ddsf_load_from_a_pipe(tmp_path, cut):
+    # a FIFO has no size to check before the read: its payload is read, then checked
+    path = tmp_path / "x.ddsf"
+    im = Image(np.random.default_rng(9).random((5, 7)), 0.1)
+    save_ddsf(im, path)
+    blob = path.read_bytes()
+    blob = blob[: len(blob) - cut]
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(blob,))
+    writer.start()
+    try:
+        if cut:
+            with pytest.raises(FormatError, match="truncated payload: 272 bytes < 280"):
+                load_ddsf(fifo)
+        else:
+            back = load_ddsf(fifo)
+            assert back.pitch == im.pitch and np.array_equal(back.pixels, im.pixels)
+    finally:
+        writer.join()
 
 
 def test_ddsf_zero_dims(tmp_path):

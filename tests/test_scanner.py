@@ -204,10 +204,11 @@ def test_usual_equals_subsampled_dense_bit_exact(rng, method, step):
 
 
 # --- scan operator -------------------------------------------------------------
-# Forward and adjoint run on the next 5-smooth length >= N + spot_side - 1
-# per axis and touch only the lattice window of sites within spot_side // 2
-# px of the sample (N + 2 * min(extension, spot_side // 2) per axis, from
-# site extension - min(extension, spot_side // 2)); the rest is exact zero.
+# Forward and adjoint touch only the lattice window of sites within
+# pad = min(extension, spot_side // 2) px of the sample (N + 2 * pad per
+# axis, from site extension - pad); the rest is exact zero. They run on the
+# next 5-smooth length >= N + pad + spot_side // 2 per axis, which may be
+# shorter than the spot: its wrapped taps meet no kept site.
 
 def _window(shape, side, ext):
     pad = min(ext, side // 2)
@@ -217,7 +218,9 @@ def _window(shape, side, ext):
 @pytest.mark.parametrize("shape, side, ext", [
     ((24, 24), 9, 4),  # square; the adjoint keeps 24 of 32 rows
     ((40, 64), 15, 10),  # grid 54 x 80; a 3-px border outside the window
-    ((30, 30), 21, 4),  # extension < spot_side // 2: forward keeps 38 of 50 rows
+    ((30, 30), 21, 4),  # extension < spot_side // 2: forward keeps 38 of 45 rows
+    ((2, 3), 15, 0),  # the 15-tap spot is wider than the 9 x 10 grid
+    ((2, 3), 15, 3),  # and than its 12 rows
 ])
 def test_operator_inverse_equals_full_irfft2_bitwise(shape, side, ext):
     # the pruned inverse against the full irfft2 of the same spectrum, then the crop
@@ -244,9 +247,11 @@ def test_operator_inverse_equals_full_irfft2_bitwise(shape, side, ext):
 
 
 def test_operator_grid_sizes(monkeypatch):
-    # cli_stages RL/CGLS, the default-size RL/CGLS and fft scan, a non-square blur
+    # cli_stages RL/CGLS, the default-size RL/CGLS and fft scan, the default
+    # blur (a 599^2 crop of the PSF, extension 0), a non-square blur
     assert ScanOperator(np.ones((15, 15)), (64, 64), 14).grid == (80, 80)
     assert ScanOperator(np.ones((101, 101)), (300, 300), 100).grid == (400, 400)
+    assert ScanOperator(np.ones((599, 599)), (300, 300), 0).grid == (600, 600)
     grids = []
 
     class Spy(ScanOperator):
@@ -257,7 +262,7 @@ def test_operator_grid_sizes(monkeypatch):
     monkeypatch.setattr("densescan.scanner.ScanOperator", Spy)
     sample = Image(np.random.default_rng(0).random((30, 31)), 1.0)
     widefield_blur(sample, make_microscope_psf(3.0, 81), "fft")
-    assert grids == [((61, 61), (90, 96))]  # 2 * (31 - 1) + 1 taps
+    assert grids == [((61, 61), (60, 64))]  # 2 * (31 - 1) + 1 taps; 30 + 30 and 31 + 30 -> 64
 
 
 @pytest.mark.parametrize("shape, side, ext", [
@@ -265,6 +270,8 @@ def test_operator_grid_sizes(monkeypatch):
     ((40, 64), 15, 10),  # extension > spot_side // 2
     ((30, 31), 21, 4),  # extension < spot_side // 2: the window is cropped
     ((30, 31), 9, 0),
+    ((2, 3), 15, 0),  # the spot is wider than the 9 x 10 grid
+    ((2, 3), 15, 3),
 ])
 def test_operator_forward_matches_direct(shape, side, ext):
     rng = np.random.default_rng(2)
@@ -281,6 +288,8 @@ def test_operator_forward_matches_direct(shape, side, ext):
     ((30, 31), 9, 0),
     ((30, 31), 21, 4),  # extension < spot_side // 2
     ((10, 12), 7, 3),
+    ((2, 3), 15, 0),  # the spot is wider than the 9 x 10 grid
+    ((2, 3), 15, 3),
 ])
 def test_operator_adjoint_dot_test(shape, side, ext):
     rng = np.random.default_rng(4)
@@ -355,8 +364,8 @@ def test_widefield_heavy_blur_variance_reduction():
 
 @pytest.mark.parametrize("shape, side", [
     ((20, 20), 61),
-    ((40, 64), 161),  # 127 taps, grid 180 x 192
-    ((30, 31), 81),  # 61 taps, grid 90 x 96
+    ((40, 64), 161),  # 127 taps, grid 108 x 128
+    ((30, 31), 81),  # 61 taps, grid 60 x 64
 ])
 def test_widefield_crop_equals_uncropped_blur(shape, side):
     rng = np.random.default_rng(11)
@@ -369,6 +378,25 @@ def test_widefield_crop_equals_uncropped_blur(shape, side):
     fft = widefield_blur(sample, psf, "fft").pixels
     ref = _scan_field(sample.pixels, kernel, 0, 0.0, "fft")
     assert np.max(np.abs(fft - ref)) <= 1e-15
+
+
+def test_default_blur_matches_dot_products():
+    # the default blur, on its 600^2 grid, at 50 seeded pixels against each
+    # pixel's own float64 dot product of the sample with the flipped PSF window
+    from densescan.cli import PipelineConfig, build_target
+
+    cfg = PipelineConfig()
+    target = build_target(cfg)
+    microscope = make_microscope_psf(cfg.microscope_radius, cfg.microscope_side, cfg.pitch)
+    blurred = widefield_blur(target, microscope).pixels
+    psf = microscope.pixels
+    h, w = target.pixels.shape
+    c = psf.shape[0] // 2
+    rng = np.random.default_rng(19)
+    for i, j in zip(rng.integers(0, h, 50), rng.integers(0, w, 50)):
+        window = psf[c + i - h + 1 : c + i + 1, c + j - w + 1 : c + j + 1][::-1, ::-1]
+        want = np.dot(target.pixels.ravel(), window.ravel())
+        assert abs(blurred[i, j] - want) <= 1e-16
 
 
 def test_widefield_rejects_bad_psf():
