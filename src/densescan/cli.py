@@ -15,17 +15,19 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .deconv import InverseFilter, LeastSquaresCG, RichardsonLucy, Wiener, recover
-from .grid import (FormatError, Image, Rect, _integer, _positive, crop, export_pgm,
+from .grid import (FormatError, Image, Rect, _integer, _odd, _positive, crop, export_pgm,
                    load_ddsf, save_ddsf)
 from .metrics import CSV_HEADER, compare, two_point_contrast
 from .patterns import BarGrid, PointPair, RandomBlobs, SiemensStar, generate
-from .psf import AiryCore, Disk, Gaussian, SpotImage, make_microscope_psf, make_spot
+from .psf import (AiryCore, Disk, Gaussian, SpotImage, _microscope_window, make_microscope_psf,
+                  make_spot)
 from .scanner import (
     SCAN_METHODS,
     Background,
     ConstantBackground,
     ScanConfig,
     ZeroBackground,
+    _blur_half,
     add_noise,
     simulate_scan,
     widefield_blur,
@@ -256,10 +258,14 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
             swept = recover(noisy, spot, roi, cfg.extension, request, cfg.background)
             sweep.append((sigma, compare(swept.recovered, expected)))
 
-        microscope = make_microscope_psf(cfg.microscope_radius, cfg.microscope_side, cfg.pitch)
-        conventional = widefield_blur(expected, microscope)
-
         result = recover(intermediate, spot, roi, cfg.extension, request, cfg.background)
+
+        # the baseline last: only the PSF window that its blur reads, normalized over the
+        # full side, which is checked before the window rule reads it
+        side = _odd("psf side", cfg.microscope_side)
+        microscope = _microscope_window(cfg.microscope_radius, side,
+                                        _blur_half(side, expected.pixels.shape), cfg.pitch)
+        conventional = widefield_blur(expected, microscope)
 
         window = Rect(cfg.extension, cfg.extension, cfg.roi_width, cfg.roi_height)
         reports = {

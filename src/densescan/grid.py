@@ -175,10 +175,10 @@ def save_ddsf(image: Image, path: str | Path) -> None:
     top-left pixel.
     """
     header = DDSF_HEADER.pack(DDSF_MAGIC, image.width, image.height, image.pitch)
-    payload = np.ascontiguousarray(image.pixels, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(image.pixels, dtype="<f8")  # a copy only if big-endian
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(payload.data)  # straight from the array's buffer
 
 
 def load_ddsf(path: str | Path) -> Image:

@@ -15,6 +15,10 @@ elementwise function of its radius, so the blocks change no bit. The
 Airy profiles' J1 series stops at 16 of 40 terms when no argument in a
 block exceeds 3.5, also changing no bit. The builders freeze their
 result, and :class:`~densescan.grid.Image` adopts it without a copy.
+The pipeline's wide-field baseline stores only the central window of the
+microscope PSF that its blur reads: the whole octant is still evaluated,
+and the window is normalized by the full side's sum, taken over the
+octant with each value's multiplicity in the square.
 """
 
 from __future__ import annotations
@@ -198,24 +202,37 @@ def _airy_intensity(r: np.ndarray, first_zero_radius: float) -> np.ndarray:
     return intensity
 
 
-def _radial_image(profile, side: int) -> np.ndarray:
+def _radial_image(profile, side: int, half: int | None = None):
     # profile(r) on the octant 0 <= dy <= dx <= c, mirrored; np.hypot ignores
     # signs and operand order, so this matches a full-grid evaluation bitwise.
     # A boolean mask visits the octant in np.nonzero order, also on the transpose;
-    # it is evaluated in blocks of rows holding at most _BLOCK radii.
+    # it is evaluated in blocks of rows holding at most _BLOCK radii. Given a half
+    # below c, only the central 2 half + 1 square is stored, and (window, sum of the
+    # full square) is returned: each octant value counts 1 at the centre, 4 on the
+    # axes and the diagonal and 8 elsewhere, and the blocks' sums are added exactly.
     c = side // 2
+    h = c if half is None else min(half, c)
     octant = ~np.tri(c + 1, k=-1, dtype=bool)
-    full = np.empty((side, side))
-    quadrant = full[c:, c:]
+    kept = octant[: h + 1, : h + 1]
+    out = np.empty((2 * h + 1, 2 * h + 1))
+    quadrant = out[h:, h:]
+    sums = []
     step = max(_BLOCK // (c + 1), 1)
     for i in range(0, c + 1, step):
-        mask = octant[i : i + step]
-        dy, dx = np.nonzero(mask)
+        dy, dx = np.nonzero(octant[i : i + step])
         dy += i
-        quadrant[i : i + step][mask] = quadrant.T[i : i + step][mask] = profile(np.hypot(dy, dx))
-    full[c:, :c] = quadrant[:, :0:-1]
-    full[:c] = full[:c:-1]
-    return full
+        values = profile(np.hypot(dy, dx))
+        if h < c:
+            weights = np.where((dy == 0) | (dy == dx), 4.0, 8.0)
+            if i == 0:
+                weights[0] = 1.0  # the centre, first in np.nonzero order
+            sums.append((weights * values).sum())  # a ufunc reduction: no BLAS in the bits
+            values = values[dx <= h]
+        mask = kept[i : i + step]
+        quadrant[i : i + step][mask] = quadrant.T[i : i + step][mask] = values
+    out[h:, :h] = quadrant[:, :0:-1]
+    out[:h] = out[:h:-1]
+    return (out, math.fsum(sums)) if h < c else out
 
 
 def make_spot(profile: SpotProfile, side: int, pitch: float = 1.0) -> SpotImage:
@@ -245,9 +262,22 @@ def make_microscope_psf(first_zero_radius: float, side: int, pitch: float = 1.0)
     return _normalized(_radial_image(lambda r: _airy_intensity(r, first_zero_radius), side), pitch)
 
 
-def _normalized(values: np.ndarray, pitch: float) -> Image:
-    # each profile is 1 at the centre pixel, so the sum is >= 1; divided in place and
-    # frozen, the array is adopted by Image without a copy
-    values /= values.sum()
+def _microscope_window(first_zero_radius: float, side: int, half: int,
+                       pitch: float = 1.0) -> Image:
+    """The central 2 half + 1 square of ``make_microscope_psf(first_zero_radius, side,
+    pitch)``, normalized over the full side without storing it (within 1e-14 relative
+    of the crop; bitwise, and the full PSF itself, when half >= side // 2)."""
+    side = _odd("psf side", side)
+    if half >= side // 2:
+        return make_microscope_psf(first_zero_radius, side, pitch)
+    _positive("first_zero_radius", first_zero_radius)
+    window, total = _radial_image(lambda r: _airy_intensity(r, first_zero_radius), side, half)
+    return _normalized(window, pitch, total)
+
+
+def _normalized(values: np.ndarray, pitch: float, total: float | None = None) -> Image:
+    # each profile is 1 at the centre pixel, so the sum (of values, unless given) is
+    # >= 1; divided in place and frozen, the array is adopted by Image without a copy
+    values /= values.sum() if total is None else total
     values.setflags(write=False)
     return Image(values, pitch)

@@ -245,6 +245,12 @@ def simulate_scan(sample: Image, spot: SpotImage, config: ScanConfig,
     return Image(field, sample.pitch * config.step)
 
 
+def _blur_half(psf_side: int, shape: tuple[int, int]) -> int:
+    # the half-side of the PSF window a blur of a ``shape`` sample reads: taps over
+    # max(H, W) - 1 px from the centre never meet the sample
+    return min(psf_side // 2, max(shape) - 1)
+
+
 def widefield_blur(sample: Image, microscope_psf: Image, method: str = "auto") -> Image:
     """Same-size linear convolution of the sample with a microscope PSF.
 
@@ -258,7 +264,7 @@ def widefield_blur(sample: Image, microscope_psf: Image, method: str = "auto") -
     if psf.shape[0] != psf.shape[1]:
         raise ValueError(f"psf must be square, got {psf.shape[1]}x{psf.shape[0]}")
     _odd("psf side", psf.shape[0])
-    cut = max(psf.shape[0] // 2 - (max(sample.pixels.shape) - 1), 0)
+    cut = psf.shape[0] // 2 - _blur_half(psf.shape[0], sample.pixels.shape)
     psf = psf[cut : psf.shape[0] - cut, cut : psf.shape[0] - cut]
     # convolution = correlation with the flipped kernel
     return Image(_scan_field(sample.pixels, psf[::-1, ::-1], 0, 0.0, method), sample.pitch)

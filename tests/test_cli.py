@@ -20,8 +20,9 @@ from densescan.cli import (
 )
 from densescan.grid import DDSF_HEADER, DDSF_MAGIC, load_ddsf, new_image, save_ddsf
 from densescan.metrics import CSV_HEADER
-from densescan.psf import AiryCore, Gaussian, SpotImage, make_microscope_psf, make_spot
-from densescan.scanner import ConstantBackground
+from densescan.psf import (AiryCore, Gaussian, SpotImage, _microscope_window,
+                           make_microscope_psf, make_spot)
+from densescan.scanner import ConstantBackground, widefield_blur
 
 SMALL_CONFIG = """
 # compact harness instance for fast end-to-end checks
@@ -707,6 +708,30 @@ def test_pipeline_synthesizes_the_spot_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_default_pipeline_blurs_with_the_full_psf(tmp_path):
+    # the pipeline builds only the PSF window that the blur reads, normalized over the
+    # full side: its baseline is the blur with the full 2001^2 PSF
+    cfg = PipelineConfig()
+    conventional = run_pipeline(cfg, tmp_path / "run")["images"]["conventional"]
+    psf = make_microscope_psf(cfg.microscope_radius, cfg.microscope_side, cfg.pitch)
+    want = widefield_blur(build_target(cfg), psf)
+    assert conventional.pitch == want.pitch
+    assert np.max(np.abs(conventional.pixels - want.pixels)) <= 1e-16
+
+
+def test_default_pipeline_peak_memory(tmp_path):
+    # the 2001^2 PSF alone is 30.5 MiB; the 599^2 window the blur reads is 2.7 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run_pipeline(PipelineConfig(), tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+
+
 @pytest.mark.parametrize("extra, message", [
     ("inset_center_x = 2\n", "inset clear box"),
     ("microscope_side = 4\n", "psf side"),
@@ -725,14 +750,32 @@ def test_pipeline_failing_run_creates_no_directory(tmp_path, capsys, extra, mess
 def test_bad_noise_sweep_fails_before_the_microscope_psf(tmp_path, monkeypatch, sigma):
     calls = []
 
-    def counting_make_microscope_psf(*args):
+    def counting_microscope_window(*args):
         calls.append(args)
-        return make_microscope_psf(*args)
+        return _microscope_window(*args)
 
-    monkeypatch.setattr(cli, "make_microscope_psf", counting_make_microscope_psf)
+    monkeypatch.setattr(cli, "_microscope_window", counting_microscope_window)
     cfg = replace(load_config(write_small_config(tmp_path)), noise_sweep=(sigma,))
     out = tmp_path / "run"
     with pytest.raises(ConfigError, match="^noise_sweep: sigma must be finite and >= 0"):
+        run_pipeline(cfg, out)
+    assert calls == []
+    assert not out.exists()
+
+
+def test_bad_solve_fails_before_the_microscope_psf(tmp_path, monkeypatch):
+    # the method's own solve runs before the baseline's PSF is built
+    calls = []
+
+    def counting_microscope_window(*args):
+        calls.append(args)
+        return _microscope_window(*args)
+
+    monkeypatch.setattr(cli, "_microscope_window", counting_microscope_window)
+    cfg = replace(load_config(write_small_config(tmp_path)),
+                  spot_side=15, extension=6, method="inverse")
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="spectral methods need extension"):
         run_pipeline(cfg, out)
     assert calls == []
     assert not out.exists()

@@ -9,6 +9,7 @@ from densescan.psf import (
     _BLOCK,
     _airy_intensity,
     _j1_asymptotic,
+    _microscope_window,
     AiryCore,
     Disk,
     Gaussian,
@@ -363,6 +364,53 @@ def test_default_psf_peak_memory_is_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.35 * psf.pixels.nbytes
+
+
+# --- the blur's window ----------------------------------------------------------------
+# _microscope_window stores only the central 2 half + 1 square of the microscope PSF,
+# normalized by the full side's sum (summed over the octant with multiplicities).
+
+def central_window(image, half):
+    c = image.width // 2
+    return image.pixels[c - half : c + half + 1, c - half : c + half + 1]
+
+
+@pytest.mark.parametrize("radius, side, half", [
+    (2.0, 1, 0), (2.0, 1, 5), (3.0, 61, 30), (3.0, 61, 100), (20.0, 401, 200),
+])
+def test_microscope_window_is_the_psf_when_it_covers_the_side(radius, side, half):
+    window = _microscope_window(radius, side, half, 0.1)
+    psf = make_microscope_psf(radius, side, 0.1)
+    assert window.pitch == psf.pitch
+    assert np.array_equal(window.pixels, psf.pixels)
+
+
+@pytest.mark.parametrize("radius, side, half", [
+    (0.7, 801, 5),  # v reaches about 3,100 at the corners: the asymptotic J1 branch
+    (3.0, 61, 10),
+    (3.0, 801, 100),
+    (20.0, 801, 399),  # 401 rows in blocks of 81
+    (20.0, 2001, 0),
+    (2000.0, 2001, 299),  # the default pipeline's window: 1001 rows in blocks of 32
+])
+def test_microscope_window_is_the_central_window(radius, side, half):
+    window = _microscope_window(radius, side, half, 0.1)
+    want = central_window(make_microscope_psf(radius, side, 0.1), half)
+    assert window.pitch == 0.1
+    assert window.pixels.shape == want.shape
+    assert np.all(np.abs(window.pixels - want) <= 1e-14 * want)
+
+
+@pytest.mark.parametrize("radius, side, message", [
+    (2.0, 4, "psf side must be odd"), (2.0, 0, "psf side must be an integer >= 1"),
+    (0.0, 61, "first_zero_radius must be > 0"), (np.nan, 61, "first_zero_radius"),
+])
+def test_microscope_window_rejects_what_the_psf_rejects(radius, side, message):
+    for half in (0, 10, 100):
+        with pytest.raises(ValueError, match=message):
+            _microscope_window(radius, side, half)
+    with pytest.raises(ValueError, match=message):
+        make_microscope_psf(radius, side)
 
 
 def test_j1_all_series_arguments_bitwise():
