@@ -15,19 +15,17 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .deconv import InverseFilter, LeastSquaresCG, RichardsonLucy, Wiener, recover
-from .grid import (FormatError, Image, Rect, _integer, _odd, _positive, crop, export_pgm,
-                   load_ddsf, save_ddsf)
+from .grid import (FormatError, Image, Rect, _integer, _positive, crop, export_pgm, load_ddsf,
+                   save_ddsf)
 from .metrics import CSV_HEADER, compare, two_point_contrast
 from .patterns import BarGrid, PointPair, RandomBlobs, SiemensStar, generate
-from .psf import (AiryCore, Disk, Gaussian, SpotImage, _microscope_window, make_microscope_psf,
-                  make_spot)
+from .psf import AiryCore, Disk, Gaussian, SpotImage, _microscope_window, make_spot
 from .scanner import (
     SCAN_METHODS,
     Background,
     ConstantBackground,
     ScanConfig,
     ZeroBackground,
-    _blur_half,
     add_noise,
     simulate_scan,
     widefield_blur,
@@ -261,11 +259,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
         result = recover(intermediate, spot, roi, cfg.extension, request, cfg.background)
 
         # the baseline last: only the PSF window that its blur reads, normalized over the
-        # full side, which is checked before the window rule reads it
-        side = _odd("psf side", cfg.microscope_side)
-        microscope = _microscope_window(cfg.microscope_radius, side,
-                                        _blur_half(side, expected.pixels.shape), cfg.pitch)
-        conventional = widefield_blur(expected, microscope)
+        # full side
+        conventional = widefield_blur(expected, _microscope_window(
+            cfg.microscope_radius, cfg.microscope_side, expected.pixels.shape, cfg.pitch))
 
         window = Rect(cfg.extension, cfg.extension, cfg.roi_width, cfg.roi_height)
         reports = {
@@ -355,7 +351,7 @@ def _cmd_blur(args: argparse.Namespace) -> Image:
         if side is None:
             _positive("first_zero_radius", radius)  # before ceil() sees it
             side = 2 * math.ceil(radius) + 1
-        psf = make_microscope_psf(radius, side, sample.pitch)
+        psf = _microscope_window(radius, side, sample.pixels.shape, sample.pitch)
     return widefield_blur(sample, psf)
 
 

@@ -95,7 +95,7 @@ class Image:
             raise ValueError(f"pixels must be 2D, got ndim={px.ndim}")
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError(f"image dimensions must be >= 1, got {px.shape}")
-        if not np.all(np.isfinite(px)):
+        if not (np.isfinite(px.min()) and np.isfinite(px.max())):  # NaN and inf propagate
             raise ValueError("pixel values must all be finite")
         pitch = float(self.pitch)
         if not np.isfinite(pitch) or pitch <= 0.0:

@@ -15,10 +15,12 @@ elementwise function of its radius, so the blocks change no bit. The
 Airy profiles' J1 series stops at 16 of 40 terms when no argument in a
 block exceeds 3.5, also changing no bit. The builders freeze their
 result, and :class:`~densescan.grid.Image` adopts it without a copy.
-The pipeline's wide-field baseline stores only the central window of the
-microscope PSF that its blur reads: the whole octant is still evaluated,
-and the window is normalized by the full side's sum, taken over the
-octant with each value's multiplicity in the square.
+Every generated wide-field baseline, in the pipeline and in ``blur
+--airy-radius``, stores only the central window of the microscope PSF
+that its blur reads (:func:`_blur_half`, the one home of that rule): the
+whole octant is still evaluated, and the window is normalized by the
+full side's sum, taken over the octant with each value's multiplicity
+in the square.
 """
 
 from __future__ import annotations
@@ -262,13 +264,21 @@ def make_microscope_psf(first_zero_radius: float, side: int, pitch: float = 1.0)
     return _normalized(_radial_image(lambda r: _airy_intensity(r, first_zero_radius), side), pitch)
 
 
-def _microscope_window(first_zero_radius: float, side: int, half: int,
+def _blur_half(psf_side: int, shape: tuple[int, int]) -> int:
+    # the half-side of the PSF window a blur of a ``shape`` sample reads: taps over
+    # max(H, W) - 1 px from the centre never meet the sample
+    return min(psf_side // 2, max(shape) - 1)
+
+
+def _microscope_window(first_zero_radius: float, side: int, shape: tuple[int, int],
                        pitch: float = 1.0) -> Image:
-    """The central 2 half + 1 square of ``make_microscope_psf(first_zero_radius, side,
-    pitch)``, normalized over the full side without storing it (within 1e-14 relative
-    of the crop; bitwise, and the full PSF itself, when half >= side // 2)."""
+    """The central window of ``make_microscope_psf(first_zero_radius, side, pitch)``
+    that a blur of a ``shape`` sample reads, normalized over the full side without
+    storing it (within 1e-14 relative of the crop; the full PSF itself, bitwise, when
+    the window is the whole side)."""
     side = _odd("psf side", side)
-    if half >= side // 2:
+    half = _blur_half(side, shape)
+    if half == side // 2:
         return make_microscope_psf(first_zero_radius, side, pitch)
     _positive("first_zero_radius", first_zero_radius)
     window, total = _radial_image(lambda r: _airy_intensity(r, first_zero_radius), side, half)

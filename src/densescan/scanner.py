@@ -15,19 +15,18 @@ nonzero, N + 2 * pad per axis. It computes them on a circular grid of
 the next 5-smooth (fast FFT) length >= N + pad + spot_side // 2 per
 axis, the shortest on which no kept site reads a wrapped sample
 (overlap-save), so the circular product is exact there: N + spot_side -
-1 when extension >= spot_side // 2, N + spot_side // 2 for a blur. When
-extension > spot_side // 2 it writes the result into a zero lattice, so
-the zero border is exact; otherwise (every blur) the result, cropped
-when extension < spot_side // 2, is the lattice itself, returned with no
-copy. Its inverse FFT transforms back only the rows it keeps (300 of 600
-in the default blur), bitwise equal to ``irfft2`` and crop. The spectral
-solvers divide by its transfer in :meth:`~ScanOperator.deconvolve`,
-which alone holds their rule: exact only when extension >=
-spot_side // 2, it raises below that. The wide-field blur is the same
-map with the flipped PSF and no extension, cropped to the 2(N - 1) + 1
-taps that can meet an N-px sample. Of the ``SCAN_METHODS``, ``auto``
-and ``fft`` run it; ``direct``, the bit-reproducible reference, sums
-taps in a fixed order at kept sites.
+1 when extension >= spot_side // 2, N + spot_side // 2 for a blur. It
+writes those sites into a zero lattice of N + 2 * extension per axis,
+so any border beyond them is exactly zero. Its inverse FFT transforms
+back only the rows it keeps (300 of 600 in the default blur), bitwise
+equal to ``irfft2`` and crop. The spectral solvers divide by its
+transfer in :meth:`~ScanOperator.deconvolve`, which alone holds their
+rule: exact only when extension >= spot_side // 2, it raises below
+that. The wide-field blur is the same map with the flipped PSF and no
+extension, cropped by ``psf._blur_half`` to the 2(N - 1) + 1 taps that
+can meet an N-px sample; a generated PSF is built no wider. Of the
+``SCAN_METHODS``, ``auto`` and ``fft`` run it; ``direct``, the
+bit-reproducible reference, sums taps in a fixed order at kept sites.
 
 Lattice convention: sites per axis are c_i = -extension + (step-1)//2 +
 i*step for i in range(floor((N + 2*extension)/step)); footprints are
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Image, _integer, _nonnegative, _odd
-from .psf import SpotImage
+from .psf import SpotImage, _blur_half
 
 
 @dataclass(frozen=True)
@@ -144,12 +143,8 @@ class ScanOperator:
         # of x - level plus level times the spot's total weight. Allocating the lattice after
         # the spectrum is freed costs 0.35 MB of peak RSS (pipeline_default, 2-vCPU VM).
         window = self.forward_window(x - level if level else x)
-        lattice = tuple(n + 2 * self.extension for n in self.shape)
-        if self._window == lattice:  # extension <= spot_side // 2: no zero border
-            out = window
-        else:
-            out = np.zeros(lattice)
-            out[self.sites] = window
+        out = np.zeros(tuple(n + 2 * self.extension for n in self.shape))
+        out[self.sites] = window
         if level:
             out += level * float(self.spot.sum())
         return out
@@ -243,12 +238,6 @@ def simulate_scan(sample: Image, spot: SpotImage, config: ScanConfig,
     field = _scan_field(sample.pixels, spot.pixels, config.extension,
                         config.background.level, method, config.step)
     return Image(field, sample.pitch * config.step)
-
-
-def _blur_half(psf_side: int, shape: tuple[int, int]) -> int:
-    # the half-side of the PSF window a blur of a ``shape`` sample reads: taps over
-    # max(H, W) - 1 px from the centre never meet the sample
-    return min(psf_side // 2, max(shape) - 1)
 
 
 def widefield_blur(sample: Image, microscope_psf: Image, method: str = "auto") -> Image:

@@ -732,6 +732,39 @@ def test_default_pipeline_peak_memory(tmp_path):
     assert peak <= 20 * 2**20
 
 
+# a 64 px run's 127^2 window of a 201^2 PSF, whose sum differs from the full square's in
+# the last bits, and the default run's 599^2 window of the 2001^2 PSF
+@pytest.mark.parametrize("extra", ["microscope_radius = 20\nmicroscope_side = 201\n", None],
+                         ids=["small-201", "default"])
+def test_blur_airy_radius_writes_the_pipeline_baseline(tmp_path, extra):
+    # blur --airy-radius builds the PSF window the pipeline builds, so it writes the
+    # pipeline's conventional image byte for byte
+    cfg = PipelineConfig() if extra is None else load_config(write_small_config(tmp_path, extra))
+    run = tmp_path / "run"
+    run_pipeline(cfg, run)
+    out = tmp_path / "blur.ddsf"
+    assert main(["blur", "--sample", str(run / "expected.ddsf"),
+                 "--airy-radius", repr(cfg.microscope_radius),
+                 "--psf-side", str(cfg.microscope_side), "-o", str(out)]) == 0
+    assert out.read_bytes() == (run / "conventional.ddsf").read_bytes()
+
+
+def test_blur_airy_radius_peak_memory(tmp_path):
+    # the 2001^2 PSF alone is 30.5 MiB; the 599^2 window a 300^2 blur reads is 2.7 MiB
+    import tracemalloc
+
+    sample = tmp_path / "s.ddsf"
+    save_ddsf(new_image(300, 300, 0.1, 1.0), sample)
+    tracemalloc.start()
+    try:
+        assert main(["blur", "--sample", str(sample), "--airy-radius", "2000",
+                     "--psf-side", "2001", "-o", str(tmp_path / "b.ddsf")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+
+
 @pytest.mark.parametrize("extra, message", [
     ("inset_center_x = 2\n", "inset clear box"),
     ("microscope_side = 4\n", "psf side"),

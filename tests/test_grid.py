@@ -88,10 +88,12 @@ def test_new_image_and_pad_name_bad_integers():
 
 
 def test_image_rejects_non_finite_data():
-    data = np.ones((2, 2))
-    data[0, 1] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        Image(data, 1.0)
+    # the check reads min and max: each propagates NaN, and one of them holds any inf
+    for bad in ((np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)):
+        data = np.ones((2, 2))
+        data[0, : len(bad)] = bad
+        with pytest.raises(ValueError, match="^pixel values must all be finite$"):
+            Image(data, 1.0)
 
 
 def test_image_rejects_wrong_rank():

@@ -367,8 +367,9 @@ def test_default_psf_peak_memory_is_near_its_output():
 
 
 # --- the blur's window ----------------------------------------------------------------
-# _microscope_window stores only the central 2 half + 1 square of the microscope PSF,
-# normalized by the full side's sum (summed over the octant with multiplicities).
+# _microscope_window stores only the central 2 half + 1 square of the microscope PSF that
+# a blur of an (half + 1)^2 sample reads, normalized by the full side's sum (summed over
+# the octant with multiplicities).
 
 def central_window(image, half):
     c = image.width // 2
@@ -379,7 +380,7 @@ def central_window(image, half):
     (2.0, 1, 0), (2.0, 1, 5), (3.0, 61, 30), (3.0, 61, 100), (20.0, 401, 200),
 ])
 def test_microscope_window_is_the_psf_when_it_covers_the_side(radius, side, half):
-    window = _microscope_window(radius, side, half, 0.1)
+    window = _microscope_window(radius, side, (half + 1, half + 1), 0.1)
     psf = make_microscope_psf(radius, side, 0.1)
     assert window.pitch == psf.pitch
     assert np.array_equal(window.pixels, psf.pixels)
@@ -394,7 +395,7 @@ def test_microscope_window_is_the_psf_when_it_covers_the_side(radius, side, half
     (2000.0, 2001, 299),  # the default pipeline's window: 1001 rows in blocks of 32
 ])
 def test_microscope_window_is_the_central_window(radius, side, half):
-    window = _microscope_window(radius, side, half, 0.1)
+    window = _microscope_window(radius, side, (half + 1, half + 1), 0.1)
     want = central_window(make_microscope_psf(radius, side, 0.1), half)
     assert window.pitch == 0.1
     assert window.pixels.shape == want.shape
@@ -408,7 +409,7 @@ def test_microscope_window_is_the_central_window(radius, side, half):
 def test_microscope_window_rejects_what_the_psf_rejects(radius, side, message):
     for half in (0, 10, 100):
         with pytest.raises(ValueError, match=message):
-            _microscope_window(radius, side, half)
+            _microscope_window(radius, side, (half + 1, half + 1))
     with pytest.raises(ValueError, match=message):
         make_microscope_psf(radius, side)
 
