@@ -16,17 +16,22 @@ Airy profiles' J1 series stops at 16 of 40 terms when no argument in a
 block exceeds 3.5, also changing no bit. The builders freeze their
 result, and :class:`~densescan.grid.Image` adopts it without a copy.
 Every generated wide-field baseline, in the pipeline and in ``blur
---airy-radius``, stores only the central window of the microscope PSF
-that its blur reads (:func:`_blur_half`, the one home of that rule): the
-whole octant is still evaluated, and the window is normalized by the
-full side's sum, taken over the octant with each value's multiplicity
-in the square.
+--airy-radius``, evaluates and stores only the central window of the
+microscope PSF that its blur reads (:func:`_blur_half`, the one home of
+that rule), normalized by the full side's sum. While every radius of
+the side takes J1's power series (v_max = AIRY_FIRST_ZERO * c * sqrt(2)
+/ R <= ``_SERIES_CUTOFF``) and the window leaves enough of the side out
+to pay for it, that sum comes in closed form from the series of (2
+J1(v)/v)^2 over the lattice (:func:`_airy_square_sum`); otherwise the
+whole octant is evaluated and summed with each value's multiplicity in
+the square.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -145,9 +150,12 @@ def _j1_series(x: np.ndarray) -> np.ndarray:
     return total
 
 
+@np.errstate(over="ignore")
 def _j1_asymptotic(x: np.ndarray) -> np.ndarray:
     # Hankel expansion: J1(x) ~ sqrt(2/(pi x)) (P cos w - Q sin w),
     # w = x - 3pi/4, with P/Q series in 1/x (DLMF 10.17-style terms).
+    # Above about 1e306, 8 k x and pi x overflow to inf: the terms and the
+    # amplitude take their limit 0.
     ax = np.abs(x)
     term = np.ones_like(ax)
     p_sum = term.copy()
@@ -275,14 +283,72 @@ def _microscope_window(first_zero_radius: float, side: int, shape: tuple[int, in
     """The central window of ``make_microscope_psf(first_zero_radius, side, pitch)``
     that a blur of a ``shape`` sample reads, normalized over the full side without
     storing it (within 1e-14 relative of the crop; the full PSF itself, bitwise, when
-    the window is the whole side)."""
+    the window is the whole side). Where :func:`_airy_square_sum` holds and costs less
+    than the octant points outside the window, only the window is evaluated and that
+    gives the side's sum; otherwise the whole octant is evaluated for the sum."""
     side = _odd("psf side", side)
     half = _blur_half(side, shape)
     if half == side // 2:
         return make_microscope_psf(first_zero_radius, side, pitch)
     _positive("first_zero_radius", first_zero_radius)
-    window, total = _radial_image(lambda r: _airy_intensity(r, first_zero_radius), side, half)
+
+    def profile(r):
+        return _airy_intensity(r, first_zero_radius)
+
+    c = side // 2
+    v_max = AIRY_FIRST_ZERO * c * math.sqrt(2.0) / first_zero_radius  # inf for a tiny radius
+    # The closed sum runs while every radius takes J1's series: there it matched math.fsum
+    # of the evaluated PSF bit for bit at c = 40-2000, while above it the asymptotic J1 puts
+    # the evaluated sum 5e-14 from the exact one (v_max 16) and the series needs 56 terms
+    # (86 at 27). It takes about 0.1 ms * (v_max + 1) * (1 + c / 250) and saves the octant's
+    # evaluation outside the window, about 0.07 us * (c^2 - half^2); 1400 = 0.1 ms / 0.07 us
+    # (c = 20-1000, v_max 1-12, timeit, 2-vCPU VM, numpy 2.4.6). So a window near the side's
+    # size, or a side under 119 px at v_max 1 to 355 px at 12, takes the octant sum.
+    if v_max <= _SERIES_CUTOFF and c * c - half * half > 1400 * (v_max + 1) * (1 + c / 250):
+        total = _airy_square_sum(first_zero_radius, side)
+        return _normalized(_radial_image(profile, 2 * half + 1), pitch, total)
+    window, total = _radial_image(profile, side, half)
     return _normalized(window, pitch, total)
+
+
+def _airy_square_sum(first_zero_radius: float, side: int) -> float:
+    """Sum of (2 J1(v)/v)^2, v = AIRY_FIRST_ZERO * r / first_zero_radius, over the odd
+    ``side``^2 square, in exact integer arithmetic to within 2^-64 relative and then
+    rounded once (int / int is correctly rounded)."""
+    # (2 J1(v)/v)^2 = sum_k b_k (v/2)^2k, b_k = (-1)^k (2k+2)! / (k! (k+2)! (k+1)!^2)
+    # (DLMF 10.8.3). With (v/2)^2 = beta (dx^2 + dy^2), beta = (AIRY_FIRST_ZERO / R)^2 / 4,
+    # the square sums term k to b_k beta^k Q_k, Q_k = sum_j C(k, j) S_j S_(k-j) with the
+    # power sums S_j = sum_(|d| <= c) d^2j. The inputs are exact rationals; the partial
+    # sum is acc / den, den = k! (k+2)! (k+1)!^2 beta_den^k.
+    c = side // 2
+    p, q = AIRY_FIRST_ZERO.as_integer_ratio()
+    a, b = float(first_zero_radius).as_integer_ratio()
+    beta_num, beta_den = (p * b) ** 2, 4 * (q * a) ** 2
+    v_max2 = 2.0 * (AIRY_FIRST_ZERO * c / first_zero_radius) ** 2
+    squares = [d * d for d in range(1, c + 1)]
+    powers = [1] * c
+    sums = [side]  # S_0 counts d = 0 too
+    acc, den = 2 * side * side, 2  # term 0: b_0 = 1, Q_0 = side^2
+    fact, beta_pow = 2, 1  # (2k + 2)!, beta_num^k
+    k = 0
+    while True:
+        k += 1
+        powers = list(map(mul, powers, squares))
+        sums.append(2 * sum(powers))
+        q_k = sum(math.comb(k, j) * sums[j] * sums[k - j] for j in range(k + 1))
+        fact *= (2 * k + 1) * (2 * k + 2)
+        beta_pow *= beta_num
+        step = k * (k + 2) * (k + 1) ** 2 * beta_den
+        acc *= step
+        den *= step
+        term = fact * beta_pow * q_k
+        acc += -term if k % 2 else term
+        # every radius's terms alternate in sign, the same sign at every radius, and
+        # shrink from term k on once the ratio of terms k + 1 and k is <= 1 at v_max:
+        # the rest of the sum is then smaller than term k, here under 2^-64 of it
+        if ((2 * k + 4) * (2 * k + 3) * v_max2 <= 4 * (k + 1) * (k + 3) * (k + 2) ** 2
+                and term << 64 < acc):
+            return acc / den
 
 
 def _normalized(values: np.ndarray, pitch: float, total: float | None = None) -> Image:

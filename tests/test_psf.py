@@ -1,15 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densescan.grid import Image, load_ddsf, save_ddsf
+from densescan import psf as psf_module
 from densescan.psf import (
     AIRY_FIRST_ZERO,
     _BLOCK,
+    _SERIES_CUTOFF,
     _airy_intensity,
+    _airy_square_sum,
     _j1_asymptotic,
     _microscope_window,
+    _radial_image,
     AiryCore,
     Disk,
     Gaussian,
@@ -399,6 +405,62 @@ def test_microscope_window_is_the_central_window(radius, side, half):
     want = central_window(make_microscope_psf(radius, side, 0.1), half)
     assert window.pitch == 0.1
     assert window.pixels.shape == want.shape
+    assert np.all(np.abs(window.pixels - want) <= 1e-14 * want)
+
+
+# Below v_max = _SERIES_CUTOFF the side's sum can be _airy_square_sum, the series of
+# (2 J1(v)/v)^2 summed over the square in integers; above it, the octant sum.
+
+def v_max(radius, side):
+    return AIRY_FIRST_ZERO * (side // 2) * math.sqrt(2.0) / radius  # inf for a tiny radius
+
+
+@pytest.mark.parametrize("radius, side", [
+    (2000.0, 2001),  # the default: v_max 2.7
+    (40.0, 81),  # CI's 81 px PSF: 5.4
+    (2.0, 1), (0.5, 3), (7.0, 21), (300.0, 601),
+    (46.0, 201),  # 11.8, just under the bound
+    (1e300, 101),  # v_max 6e-298: term 0 alone
+])
+def test_closed_sum_matches_fsum_of_the_evaluated_psf(radius, side):
+    assert v_max(radius, side) <= _SERIES_CUTOFF
+    off = np.arange(side, dtype=np.float64) - side // 2
+    want = math.fsum(_airy_intensity(np.hypot(off[:, None], off[None, :]), radius).ravel())
+    assert abs(_airy_square_sum(radius, side) - want) <= 1e-14 * want
+
+
+def test_default_closed_sum_equals_the_octant_sum():
+    octant_sum = _radial_image(lambda r: _airy_intensity(r, 2000.0), 2001, 299)[1]
+    assert _airy_square_sum(2000.0, 2001) == octant_sum == 2252051.371058277
+
+
+@pytest.mark.parametrize("radius, side, half, closed", [
+    (2000.0, 2001, 299, True),  # the default
+    (300.0, 601, 10, True),  # v_max 5.4
+    # below the series cutoff, the octant points outside the window cost less than
+    # the closed sum: a window near the side's size or a small side
+    (2000.0, 2001, 990, False),
+    (40.0, 81, 31, False), (46.0, 201, 50, False),
+    # the central-window cases above, whose v_max of 54-3,100 takes the octant sum
+    (0.7, 801, 5, False), (3.0, 61, 10, False), (3.0, 801, 100, False),
+    (20.0, 801, 399, False), (20.0, 2001, 0, False),
+    (1e-300, 801, 5, False),  # v_max 2e303
+    (1e-306, 801, 5, False),  # v and v_max overflow to inf: the window is the centre alone
+    (5e-324, 801, 5, False),
+])
+def test_microscope_window_sums_in_closed_form_only_where_it_pays(
+        monkeypatch, radius, side, half, closed):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _airy_square_sum(*args)
+
+    monkeypatch.setattr(psf_module, "_airy_square_sum", counting)
+    window = _microscope_window(radius, side, (half + 1, half + 1), 0.1)
+    assert v_max(radius, side) <= _SERIES_CUTOFF or not closed
+    assert calls == ([(radius, side)] if closed else [])
+    want = central_window(make_microscope_psf(radius, side, 0.1), half)
     assert np.all(np.abs(window.pixels - want) <= 1e-14 * want)
 
 

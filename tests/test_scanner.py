@@ -12,6 +12,7 @@ from densescan.scanner import (
     ZeroBackground,
     _corr_valid_direct,
     _scan_field,
+    _transfer,
     add_noise,
     scan_dims,
     simulate_scan,
@@ -299,6 +300,47 @@ def test_operator_adjoint_dot_test(shape, side, ext):
     lhs = float(np.vdot(op.forward(x), y))
     rhs = float(np.vdot(x, op.adjoint(y)))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("side, grid, offset", [
+    (5, (8, 9), 0),
+    (7, (12, 10), -3),  # a blur's offset, pad - side // 2 < 0
+    (21, (45, 45), -7),  # the first 7 taps wrap onto the end of the grid
+    (15, (9, 10), -7),  # the spot is wider than the grid: taps wrap onto each other
+    (15, (12, 5), -4),
+    (9, (4, 3), 0),
+])
+def test_transfer_places_the_kernel_as_fancy_indexing_does(side, grid, offset):
+    # distinct integer taps: any tap out of place changes the transfer
+    spot = np.arange(1.0, side * side + 1).reshape(side, side)
+    rows, cols = ((np.arange(side) + offset) % n for n in grid)
+    kernel = np.zeros(grid)
+    kernel[np.ix_(rows, cols)] = spot[::-1, ::-1]  # the last write wins on a wrapped index
+    assert np.array_equal(_transfer(spot, grid, offset), np.fft.rfft2(kernel))
+
+
+@pytest.mark.parametrize("shape, side, ext", [
+    ((24, 24), 9, 4), ((30, 31), 9, 0), ((2, 3), 15, 3),  # the window is the whole lattice
+    ((24, 24), 9, 7),
+])
+def test_forward_into_a_given_zero_lattice(shape, side, ext):
+    rng = np.random.default_rng(6)
+    op = ScanOperator(random_spot(rng, side).pixels, shape, ext)
+    x = rng.random(shape)
+    for level in (0.0, 0.25):
+        want = op.forward(x, level)
+        given = np.zeros(op.lattice)
+        assert op.forward(x, level, given) is given
+        assert np.array_equal(given, want)
+        assert np.array_equal(want[op.sites], op.forward_window(x - level if level else x)
+                              + level * float(op.spot.sum()))
+
+
+@pytest.mark.parametrize("ext, step", [(14, 1), (3, 1), (0, 1), (14, 15)])
+def test_step_1_fft_field_is_adopted_without_a_copy(ext, step):
+    x = np.random.default_rng(7).random((64, 64))
+    field = _scan_field(x, make_spot(Gaussian(2.5), 15).pixels, ext, 0.25, "fft", step)
+    assert (Image(field, 1.0).pixels is field) == (step == 1)
 
 
 @pytest.mark.parametrize("step", [1, 15])
