@@ -15,23 +15,13 @@ elementwise function of its radius, so the blocks change no bit. The
 Airy profiles' J1 series stops at 16 of 40 terms when no argument in a
 block exceeds 3.5, also changing no bit. The builders freeze their
 result, and :class:`~densescan.grid.Image` adopts it without a copy.
-Every generated wide-field baseline, in the pipeline and in ``blur
---airy-radius``, evaluates and stores only the central window of the
-microscope PSF that its blur reads (:func:`_blur_half`, the one home of
-that rule), normalized by the full side's sum. While every radius of
-the side takes J1's power series (v_max = AIRY_FIRST_ZERO * c * sqrt(2)
-/ R <= ``_SERIES_CUTOFF``) and the window leaves enough of the side out
-to pay for it, that sum comes in closed form from the series of (2
-J1(v)/v)^2 over the lattice (:func:`_airy_square_sum`); otherwise the
-whole octant is evaluated and summed with each value's multiplicity in
-the square.
+:func:`_microscope_window` builds every generated wide-field baseline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -212,37 +202,24 @@ def _airy_intensity(r: np.ndarray, first_zero_radius: float) -> np.ndarray:
     return intensity
 
 
-def _radial_image(profile, side: int, half: int | None = None):
+def _radial_image(profile, side: int) -> np.ndarray:
     # profile(r) on the octant 0 <= dy <= dx <= c, mirrored; np.hypot ignores
     # signs and operand order, so this matches a full-grid evaluation bitwise.
     # A boolean mask visits the octant in np.nonzero order, also on the transpose;
-    # it is evaluated in blocks of rows holding at most _BLOCK radii. Given a half
-    # below c, only the central 2 half + 1 square is stored, and (window, sum of the
-    # full square) is returned: each octant value counts 1 at the centre, 4 on the
-    # axes and the diagonal and 8 elsewhere, and the blocks' sums are added exactly.
+    # it is evaluated in blocks of rows holding at most _BLOCK radii.
     c = side // 2
-    h = c if half is None else min(half, c)
     octant = ~np.tri(c + 1, k=-1, dtype=bool)
-    kept = octant[: h + 1, : h + 1]
-    out = np.empty((2 * h + 1, 2 * h + 1))
-    quadrant = out[h:, h:]
-    sums = []
+    out = np.empty((side, side))
+    quadrant = out[c:, c:]
     step = max(_BLOCK // (c + 1), 1)
     for i in range(0, c + 1, step):
         dy, dx = np.nonzero(octant[i : i + step])
-        dy += i
-        values = profile(np.hypot(dy, dx))
-        if h < c:
-            weights = np.where((dy == 0) | (dy == dx), 4.0, 8.0)
-            if i == 0:
-                weights[0] = 1.0  # the centre, first in np.nonzero order
-            sums.append((weights * values).sum())  # a ufunc reduction: no BLAS in the bits
-            values = values[dx <= h]
-        mask = kept[i : i + step]
+        values = profile(np.hypot(dy + i, dx))
+        mask = octant[i : i + step]
         quadrant[i : i + step][mask] = quadrant.T[i : i + step][mask] = values
-    out[h:, :h] = quadrant[:, :0:-1]
-    out[:h] = out[:h:-1]
-    return (out, math.fsum(sums)) if h < c else out
+    out[c:, :c] = quadrant[:, :0:-1]
+    out[:c] = out[:c:-1]
+    return out
 
 
 def make_spot(profile: SpotProfile, side: int, pitch: float = 1.0) -> SpotImage:
@@ -281,60 +258,57 @@ def _blur_half(psf_side: int, shape: tuple[int, int]) -> int:
 def _microscope_window(first_zero_radius: float, side: int, shape: tuple[int, int],
                        pitch: float = 1.0) -> Image:
     """The central window of ``make_microscope_psf(first_zero_radius, side, pitch)``
-    that a blur of a ``shape`` sample reads, normalized over the full side without
-    storing it (within 1e-14 relative of the crop; the full PSF itself, bitwise, when
-    the window is the whole side). Where :func:`_airy_square_sum` holds and costs less
-    than the octant points outside the window, only the window is evaluated and that
-    gives the side's sum; otherwise the whole octant is evaluated for the sum."""
+    that a blur of a ``shape`` sample reads (:func:`_blur_half`). While the window is
+    smaller than the side and every radius of the side takes J1's power series (v_max =
+    AIRY_FIRST_ZERO * c * sqrt(2) / R <= ``_SERIES_CUTOFF``), only the window is
+    evaluated, normalized by :func:`_airy_square_sum` (within 1e-14 relative of the
+    crop; above the cutoff the asymptotic J1 puts the evaluated sum 5e-14 off the exact
+    one); otherwise it is the PSF's central crop, or the PSF itself, bit for bit."""
     side = _odd("psf side", side)
-    half = _blur_half(side, shape)
-    if half == side // 2:
-        return make_microscope_psf(first_zero_radius, side, pitch)
     _positive("first_zero_radius", first_zero_radius)
-
-    def profile(r):
-        return _airy_intensity(r, first_zero_radius)
-
     c = side // 2
-    v_max = AIRY_FIRST_ZERO * c * math.sqrt(2.0) / first_zero_radius  # inf for a tiny radius
-    # The closed sum runs while every radius takes J1's series: there it matched math.fsum
-    # of the evaluated PSF bit for bit at c = 40-2000, while above it the asymptotic J1 puts
-    # the evaluated sum 5e-14 from the exact one (v_max 16) and the series needs 56 terms
-    # (86 at 27). It takes about 0.1 ms * (v_max + 1) * (1 + c / 250) and saves the octant's
-    # evaluation outside the window, about 0.07 us * (c^2 - half^2); 1400 = 0.1 ms / 0.07 us
-    # (c = 20-1000, v_max 1-12, timeit, 2-vCPU VM, numpy 2.4.6). So a window near the side's
-    # size, or a side under 119 px at v_max 1 to 355 px at 12, takes the octant sum.
-    if v_max <= _SERIES_CUTOFF and c * c - half * half > 1400 * (v_max + 1) * (1 + c / 250):
-        total = _airy_square_sum(first_zero_radius, side)
-        return _normalized(_radial_image(profile, 2 * half + 1), pitch, total)
-    window, total = _radial_image(profile, side, half)
-    return _normalized(window, pitch, total)
+    half = _blur_half(side, shape)
+    try:  # v_max is inf for a tiny R; a side or a sum beyond float range overflows
+        v_max = AIRY_FIRST_ZERO * c * math.sqrt(2.0) / first_zero_radius
+        closed = half < c and v_max <= _SERIES_CUTOFF
+        total = _airy_square_sum(first_zero_radius, side) if closed else None
+    except OverflowError:
+        raise ValueError("psf side and first_zero_radius must keep the PSF's sum finite") from None
+    if closed:
+        window = _radial_image(lambda r: _airy_intensity(r, first_zero_radius), 2 * half + 1)
+        return _normalized(window, pitch, total)
+    psf = make_microscope_psf(first_zero_radius, side, pitch)
+    lo, hi = c - half, c + half + 1
+    return psf if half == c else Image(psf.pixels[lo:hi, lo:hi], pitch)
 
 
 def _airy_square_sum(first_zero_radius: float, side: int) -> float:
     """Sum of (2 J1(v)/v)^2, v = AIRY_FIRST_ZERO * r / first_zero_radius, over the odd
     ``side``^2 square, in exact integer arithmetic to within 2^-64 relative and then
-    rounded once (int / int is correctly rounded)."""
+    rounded once (int / int is correctly rounded). Its cost does not grow with the side."""
     # (2 J1(v)/v)^2 = sum_k b_k (v/2)^2k, b_k = (-1)^k (2k+2)! / (k! (k+2)! (k+1)!^2)
     # (DLMF 10.8.3). With (v/2)^2 = beta (dx^2 + dy^2), beta = (AIRY_FIRST_ZERO / R)^2 / 4,
-    # the square sums term k to b_k beta^k Q_k, Q_k = sum_j C(k, j) S_j S_(k-j) with the
-    # power sums S_j = sum_(|d| <= c) d^2j. The inputs are exact rationals; the partial
-    # sum is acc / den, den = k! (k+2)! (k+1)!^2 beta_den^k.
+    # the square sums term k to b_k beta^k Q_k, Q_k = sum_j C(k, j) S_j S_(k-j), with
+    # S_j = sum_(|d| <= c) d^2j = 2 P_2j (j >= 1) and P_m = sum_(d=1..c) d^m from Pascal's
+    # identity sum_(i <= m) C(m+1, i) P_i = (c+1)^(m+1) - 1. The inputs are exact
+    # rationals; the partial sum is acc / den, den = k! (k+2)! (k+1)!^2 beta_den^k.
     c = side // 2
     p, q = AIRY_FIRST_ZERO.as_integer_ratio()
     a, b = float(first_zero_radius).as_integer_ratio()
     beta_num, beta_den = (p * b) ** 2, 4 * (q * a) ** 2
     v_max2 = 2.0 * (AIRY_FIRST_ZERO * c / first_zero_radius) ** 2
-    squares = [d * d for d in range(1, c + 1)]
-    powers = [1] * c
+    power_sums, rise = [c], c + 1  # P_0, then (c+1)^(m+1) for the last m
     sums = [side]  # S_0 counts d = 0 too
     acc, den = 2 * side * side, 2  # term 0: b_0 = 1, Q_0 = side^2
     fact, beta_pow = 2, 1  # (2k + 2)!, beta_num^k
     k = 0
     while True:
         k += 1
-        powers = list(map(mul, powers, squares))
-        sums.append(2 * sum(powers))
+        for m in (2 * k - 1, 2 * k):
+            rise *= c + 1
+            lower = sum(math.comb(m + 1, i) * power_sums[i] for i in range(m))
+            power_sums.append((rise - 1 - lower) // (m + 1))
+        sums.append(2 * power_sums[-1])
         q_k = sum(math.comb(k, j) * sums[j] * sums[k - j] for j in range(k + 1))
         fact *= (2 * k + 1) * (2 * k + 2)
         beta_pow *= beta_num

@@ -732,8 +732,8 @@ def test_default_pipeline_peak_memory(tmp_path):
     assert peak <= 20 * 2**20
 
 
-# a 64 px run's 127^2 window of a 201^2 PSF, whose sum differs from the full square's in
-# the last bits, and the default run's 599^2 window of the 2001^2 PSF
+# a 64 px run's 127^2 window of a 201^2 PSF (v_max 27, cropped from the full PSF), and
+# the default run's 599^2 window of the 2001^2 PSF (normalized by the closed-form sum)
 @pytest.mark.parametrize("extra", ["microscope_radius = 20\nmicroscope_side = 201\n", None],
                          ids=["small-201", "default"])
 def test_blur_airy_radius_writes_the_pipeline_baseline(tmp_path, extra):
@@ -763,6 +763,33 @@ def test_blur_airy_radius_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 2**20
+
+
+def test_blur_airy_radius_with_a_huge_side(tmp_path):
+    # the 16 px sample reads a 31^2 window of a 2,000,001^2 PSF, whose sum is in closed form
+    sample = tmp_path / "s.ddsf"
+    save_ddsf(new_image(16, 16, 0.1, 1.0), sample)
+    out = tmp_path / "b.ddsf"
+    assert main(["blur", "--sample", str(sample), "--airy-radius", "1e6", "-o", str(out)]) == 0
+    assert load_ddsf(out).pixels.shape == (16, 16)
+
+
+@pytest.mark.parametrize("args", [
+    ["--airy-radius", "1e155"], ["--airy-radius", "1e200"],  # the side's sum overflows
+    ["--airy-radius", "5", "--psf-side", "1" * 401],  # the side itself overflows a float
+], ids=["radius-1e155", "radius-1e200", "side-401-digits"])
+def test_blur_rejects_a_psf_whose_sum_overflows(tmp_path, capsys, args):
+    import time
+
+    sample = tmp_path / "s.ddsf"
+    save_ddsf(new_image(16, 16, 0.1, 1.0), sample)
+    out = tmp_path / "b.ddsf"
+    start = time.perf_counter()
+    assert main(["blur", "--sample", str(sample), *args, "-o", str(out)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "psf side and first_zero_radius must keep the PSF's sum finite" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -15,7 +15,6 @@ from densescan.psf import (
     _airy_square_sum,
     _j1_asymptotic,
     _microscope_window,
-    _radial_image,
     AiryCore,
     Disk,
     Gaussian,
@@ -373,9 +372,9 @@ def test_default_psf_peak_memory_is_near_its_output():
 
 
 # --- the blur's window ----------------------------------------------------------------
-# _microscope_window stores only the central 2 half + 1 square of the microscope PSF that
-# a blur of an (half + 1)^2 sample reads, normalized by the full side's sum (summed over
-# the octant with multiplicities).
+# _microscope_window gives the central 2 half + 1 square of the microscope PSF that a blur
+# of an (half + 1)^2 sample reads: evaluated alone and normalized by the closed-form sum
+# of the full side, or cropped from make_microscope_psf.
 
 def central_window(image, half):
     c = image.width // 2
@@ -408,8 +407,8 @@ def test_microscope_window_is_the_central_window(radius, side, half):
     assert np.all(np.abs(window.pixels - want) <= 1e-14 * want)
 
 
-# Below v_max = _SERIES_CUTOFF the side's sum can be _airy_square_sum, the series of
-# (2 J1(v)/v)^2 summed over the square in integers; above it, the octant sum.
+# Below v_max = _SERIES_CUTOFF the side's sum is _airy_square_sum, the series of
+# (2 J1(v)/v)^2 summed over the square in integers; above it, the PSF is cropped.
 
 def v_max(radius, side):
     return AIRY_FIRST_ZERO * (side // 2) * math.sqrt(2.0) / radius  # inf for a tiny radius
@@ -429,19 +428,37 @@ def test_closed_sum_matches_fsum_of_the_evaluated_psf(radius, side):
     assert abs(_airy_square_sum(radius, side) - want) <= 1e-14 * want
 
 
-def test_default_closed_sum_equals_the_octant_sum():
-    octant_sum = _radial_image(lambda r: _airy_intensity(r, 2000.0), 2001, 299)[1]
-    assert _airy_square_sum(2000.0, 2001) == octant_sum == 2252051.371058277
+def test_default_closed_sum_equals_fsum_of_the_full_grid():
+    off = np.arange(2001, dtype=np.float64) - 1000
+    full = _airy_intensity(np.hypot(off[:, None], off[None, :]), 2000.0)
+    assert _airy_square_sum(2000.0, 2001) == math.fsum(full.ravel()) == 2252051.371058277
+
+
+def test_closed_sum_cost_does_not_grow_with_the_side():
+    # the power sums come from Pascal's identity, not from a list of every square
+    import time
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        total = _airy_square_sum(1e6, 2_000_001)  # v_max 5.4
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 1.0
+    assert peak < 2**20
+    # the float that summing a list of all 10^6 squares' powers gave, in 5-100 s
+    assert total == 722785198236.8671
 
 
 @pytest.mark.parametrize("radius, side, half, closed", [
     (2000.0, 2001, 299, True),  # the default
     (300.0, 601, 10, True),  # v_max 5.4
-    # below the series cutoff, the octant points outside the window cost less than
-    # the closed sum: a window near the side's size or a small side
-    (2000.0, 2001, 990, False),
-    (40.0, 81, 31, False), (46.0, 201, 50, False),
-    # the central-window cases above, whose v_max of 54-3,100 takes the octant sum
+    (2000.0, 2001, 990, True), (40.0, 81, 31, True), (46.0, 201, 50, True),
+    (1e6, 2_000_001, 63, True),  # a 4e12 px side: its PSF is never built
+    # the central-window cases above, whose v_max of 54-3,100 crops the PSF
     (0.7, 801, 5, False), (3.0, 61, 10, False), (3.0, 801, 100, False),
     (20.0, 801, 399, False), (20.0, 2001, 0, False),
     (1e-300, 801, 5, False),  # v_max 2e303
@@ -458,10 +475,24 @@ def test_microscope_window_sums_in_closed_form_only_where_it_pays(
 
     monkeypatch.setattr(psf_module, "_airy_square_sum", counting)
     window = _microscope_window(radius, side, (half + 1, half + 1), 0.1)
-    assert v_max(radius, side) <= _SERIES_CUTOFF or not closed
+    assert (v_max(radius, side) <= _SERIES_CUTOFF) == closed
     assert calls == ([(radius, side)] if closed else [])
+    assert window.pixels.shape == (2 * half + 1, 2 * half + 1)
+    if side <= 2001:
+        want = central_window(make_microscope_psf(radius, side, 0.1), half)
+        assert np.all(np.abs(window.pixels - want) <= 1e-14 * want)
+
+
+@pytest.mark.parametrize("radius, side, half", [
+    (0.7, 801, 5), (3.0, 61, 10), (3.0, 801, 100), (20.0, 801, 399), (20.0, 2001, 0),
+    (20.0, 201, 63),  # CI's small-201 run: v_max 27
+])
+def test_microscope_window_outside_the_closed_route_is_the_crop(radius, side, half):
+    assert v_max(radius, side) > _SERIES_CUTOFF
+    window = _microscope_window(radius, side, (half + 1, half + 1), 0.1)
     want = central_window(make_microscope_psf(radius, side, 0.1), half)
-    assert np.all(np.abs(window.pixels - want) <= 1e-14 * want)
+    assert window.pitch == 0.1
+    assert np.array_equal(window.pixels, want)
 
 
 @pytest.mark.parametrize("radius, side, message", [
