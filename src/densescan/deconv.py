@@ -41,7 +41,8 @@ _RL_DIVISION_GUARD = 1e-12  # relative to max|y| over the window
 
 
 class _SpectralSolve:
-    """solve() of the spectral pair; each member divides by ``_divide``."""
+    """solve() of the spectral pair; each member divides by ``_divide``, in place
+    on the spectrum it is handed."""
 
     def solve(self, op: ScanOperator, y: np.ndarray) -> tuple[np.ndarray, int, float]:
         return op.deconvolve(y, self._divide), 0, 0.0
@@ -60,7 +61,9 @@ class InverseFilter(_SpectralSolve):
     def _divide(self, h: np.ndarray, yspec: np.ndarray) -> np.ndarray:
         mag = np.abs(h)
         keep = (mag >= self.threshold * mag.max()) & (mag > 0.0)
-        return np.where(keep, yspec / np.where(keep, h, 1.0), 0.0)
+        np.divide(yspec, h, out=yspec, where=keep)
+        yspec[~keep] = 0.0
+        return yspec
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,10 @@ class Wiener(_SpectralSolve):
     def _divide(self, h: np.ndarray, yspec: np.ndarray) -> np.ndarray:
         denom = np.square(np.abs(h)) + self.nsr
         safe = denom > 0.0
-        return np.where(safe, yspec * np.conj(h) / np.where(safe, denom, 1.0), 0.0)
+        yspec *= np.conj(h)
+        np.divide(yspec, denom, out=yspec, where=safe)
+        yspec[~safe] = 0.0
+        return yspec
 
 
 @dataclass(frozen=True)
@@ -209,7 +215,7 @@ def _cgls(op: ScanOperator, y: np.ndarray, tolerance: float,
         if qq == 0.0 or gamma == 0.0:
             break
         alpha = gamma / qq
-        x = x + alpha * p
+        x += alpha * p
         r -= alpha * q
         relres = float(np.sqrt(op.norm2(r) + ring)) / ynorm
         history.append(relres)
@@ -217,7 +223,8 @@ def _cgls(op: ScanOperator, y: np.ndarray, tolerance: float,
             break
         s = op.transpose(r)
         gamma_next = float(np.vdot(s, s))
-        p = s + (gamma_next / gamma) * p
+        p *= gamma_next / gamma
+        p += s
         gamma = gamma_next
     return x, len(history), history
 

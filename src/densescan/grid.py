@@ -237,14 +237,17 @@ def export_pgm(image: Image, path: str | Path, bit_depth: int = 8) -> None:
         if hi - lo == np.inf:
             # hi - lo overflowed; halving every value is exact and brings it in range
             px, lo, hi = px / 2, lo / 2, hi / 2
-        # divide before scaling: for near-degenerate ranges the ratio
-        # stays in [0, 1] where a precomputed 1/(hi-lo) would overflow
-        scaled = np.rint((px - lo) / (hi - lo) * maxval)
-        levels = np.clip(scaled, 0, maxval)
+        # one buffer, scaled in place; divide before scaling: for near-degenerate
+        # ranges the ratio stays in [0, 1] where a precomputed 1/(hi-lo) would overflow
+        levels = np.subtract(px, lo)
+        levels /= hi - lo
+        levels *= maxval
+        np.rint(levels, out=levels)
+        np.clip(levels, 0, maxval, out=levels)
     else:
         levels = np.full(px.shape, float(1 << (bit_depth - 1)))
     header = f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")
-    body = levels.astype(">u2" if bit_depth == 16 else "u1").tobytes()
+    body = levels.astype(">u2" if bit_depth == 16 else "u1")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body)
+        fh.write(body.data)  # the array's own buffer, not a tobytes() copy

@@ -19,9 +19,13 @@ axis, the shortest on which no kept site reads a wrapped sample
 writes those sites into a zero lattice of N + 2 * extension per axis,
 so any border beyond them is exactly zero; a step-1 scan or blur hands
 that lattice to :class:`~densescan.grid.Image` frozen, without a further
-copy. The kernel is placed on the grid by slice copies. Its inverse FFT transforms
-back only the rows it keeps (300 of 600 in the default blur), bitwise
-equal to ``irfft2`` and crop. The spectral solvers divide by its
+copy. The transforms run in place: each call fills one spectrum of the
+grid (a row rFFT, then the column FFT over it), multiplies or divides it
+in place and transforms it back in place, bitwise equal to ``rfft2`` and
+``irfft2``. The transfer places the kernel by slice copies and
+row-transforms only the spot's rows (101 of 400 in the default scan);
+the inverse transforms back only the rows it keeps (300 of 600 in the
+default blur). The spectral solvers divide by its
 transfer in :meth:`~ScanOperator.deconvolve`, which alone holds their
 rule: exact only when extension >= spot_side // 2, it raises below
 that. The wide-field blur is the same map with the flipped PSF and no
@@ -115,13 +119,18 @@ def _wraps(taps: int, n: int, offset: int) -> tuple[tuple[slice, slice], ...]:
 
 
 def _transfer(spot: np.ndarray, grid: tuple[int, int], offset: int) -> np.ndarray:
-    """rFFT on ``grid`` of the flipped spot, first tap at ``offset`` (wrapping)."""
+    """rFFT on ``grid`` of the flipped spot, first tap at ``offset`` (wrapping);
+    bitwise ``rfft2`` of that kernel, but only the spot's rows are row-transformed."""
     flipped = spot[::-1, ::-1]
-    kernel = np.zeros(grid)
+    taps = np.zeros((spot.shape[0], grid[1]))
+    for taps_c, cols in _wraps(spot.shape[1], grid[1], offset):
+        taps[:, cols] = flipped[:, taps_c]
+    # every other row holds rfft2's transform of a zero row, signed zeros included
+    spec = np.empty((grid[0], grid[1] // 2 + 1), complex)
+    spec[:] = np.fft.rfft(np.zeros(grid[1]))
     for taps_r, rows in _wraps(spot.shape[0], grid[0], offset):
-        for taps_c, cols in _wraps(spot.shape[1], grid[1], offset):
-            kernel[rows, cols] = flipped[taps_r, taps_c]
-    return np.fft.rfft2(kernel)
+        np.fft.rfft(taps[taps_r], axis=1, out=spec[rows])
+    return np.fft.fft(spec, axis=0, out=spec)
 
 
 class ScanOperator:
@@ -177,11 +186,18 @@ class ScanOperator:
         """:meth:`spectrum` of :meth:`forward_window` of ``x``."""
         if self._offset:  # extension < spot_side // 2 crops the grid's correlation
             return self.spectrum(self.forward_window(x))
-        return self.spectrum(x) * self.transfer
+        spec = self.spectrum(x)
+        spec *= self.transfer
+        return spec
 
     def spectrum(self, field: np.ndarray) -> np.ndarray:
         """rFFT on ``grid`` of a field at its origin: a sample or a window of ``sites``."""
-        return np.fft.rfft2(field, self.grid)
+        # rfft2(field, grid) bitwise: rfftn's row rfft, then its zero-padded column fft
+        spec = np.empty((self.grid[0], self.grid[1] // 2 + 1), complex)
+        rows = field.shape[0]
+        np.fft.rfft(field, self.grid[1], axis=1, out=spec[:rows])
+        spec[rows:] = 0.0
+        return np.fft.fft(spec, axis=0, out=spec)
 
     def transpose(self, spec: np.ndarray) -> np.ndarray:
         """Transpose of the zero-background scan, applied to a window :meth:`spectrum`."""
@@ -202,7 +218,8 @@ class ScanOperator:
         return float(total) / np.prod(self.grid)
 
     def deconvolve(self, y: np.ndarray, divide) -> np.ndarray:
-        """``divide(transfer, spectrum)`` of the sites :meth:`adjoint` reads, transformed back."""
+        """``divide(transfer, spectrum)`` of the sites :meth:`adjoint` reads, transformed
+        back; ``divide`` may overwrite the spectrum, which is its own."""
         if self._offset:  # the window crops the correlation: no division recovers x
             raise ValueError(f"spectral methods need extension >= {self.spot.shape[0] // 2} "
                              f"(half the spot side), got {self.extension}")
@@ -211,7 +228,9 @@ class ScanOperator:
     def _inverse(self, spec: np.ndarray, rows: int, cols: int) -> np.ndarray:
         # irfft2(spec, grid)[:rows, :cols] bitwise: numpy's irfft2 runs this
         # axis-0 ifft, then a last-axis irfft that treats each row on its own.
-        return np.fft.irfft(np.fft.ifft(spec, axis=0)[:rows], self.grid[1], axis=1)[:, :cols]
+        # The ifft overwrites spec, which every caller owns.
+        np.fft.ifft(spec, axis=0, out=spec)
+        return np.fft.irfft(spec[:rows], self.grid[1], axis=1)[:, :cols]
 
 
 SCAN_METHODS = ("auto", "fft", "direct")

@@ -11,6 +11,7 @@ from densescan.cli import (
     ConfigError,
     PipelineConfig,
     build_parser,
+    build_spot,
     build_target,
     config_text,
     inset_pair_points,
@@ -18,11 +19,12 @@ from densescan.cli import (
     main,
     run_pipeline,
 )
-from densescan.grid import DDSF_HEADER, DDSF_MAGIC, load_ddsf, new_image, save_ddsf
+from densescan.deconv import recover
+from densescan.grid import DDSF_HEADER, DDSF_MAGIC, Rect, load_ddsf, new_image, save_ddsf
 from densescan.metrics import CSV_HEADER
 from densescan.psf import (AiryCore, Gaussian, SpotImage, _microscope_window,
                            make_microscope_psf, make_spot)
-from densescan.scanner import ConstantBackground, widefield_blur
+from densescan.scanner import ConstantBackground, ScanConfig, simulate_scan, widefield_blur
 
 SMALL_CONFIG = """
 # compact harness instance for fast end-to-end checks
@@ -730,6 +732,31 @@ def test_default_pipeline_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 2**20
+
+
+def _peak_mib(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_default_blur_and_recovery_peak_memory():
+    # the transforms run in place: one grid spectrum per call (600^2 for the blur,
+    # 400^2 for the inverse solve) besides the operator's transfer
+    cfg = PipelineConfig()
+    expected, spot = build_target(cfg), build_spot(cfg)
+    psf = _microscope_window(cfg.microscope_radius, cfg.microscope_side,
+                             expected.pixels.shape, cfg.pitch)
+    assert _peak_mib(lambda: widefield_blur(expected, psf)) <= 8.5
+    inter = simulate_scan(expected, spot, ScanConfig(cfg.step, cfg.extension), cfg.scan_method)
+    roi = Rect(0, 0, cfg.roi_width, cfg.roi_height)
+    request = cli.SOLVERS[cfg.method](cfg)
+    assert _peak_mib(lambda: recover(inter, spot, roi, cfg.extension, request)) <= 4.5
 
 
 # a 64 px run's 127^2 window of a 201^2 PSF (v_max 27, cropped from the full PSF), and

@@ -481,29 +481,61 @@ def test_cgls_ring_of_a_clean_scan_leaves_no_floor(rng):
 
 @pytest.mark.parametrize("ext", [4, 7], ids=["half-side", "ring"])
 def test_cgls_transforms_once_each_way_per_iteration(monkeypatch, rng, ext):
-    # With extension >= spot_side // 2, an iteration takes one rfft2 and one
-    # inverse transform; the first adjoint adds one of each.
+    # With extension >= spot_side // 2, an iteration takes one forward transform
+    # (spectrum) and one inverse; the first adjoint adds one of each.
     spot = make_spot(Gaussian(1.5), 9)
     inter = forward(Image(rng.random((24, 24)), 1.0), spot, ext)
     op = ScanOperator(spot.pixels, (24, 24), ext)
     op.transfer  # computed once, outside the count
-    calls = {"rfft2": 0, "inverse": 0}
-    rfft2, inverse = np.fft.rfft2, ScanOperator._inverse
+    calls = {"spectrum": 0, "inverse": 0}
+    spectrum, inverse = ScanOperator.spectrum, ScanOperator._inverse
 
-    def counting_rfft2(*args, **kwargs):
-        calls["rfft2"] += 1
-        return rfft2(*args, **kwargs)
+    def counting_spectrum(*args):
+        calls["spectrum"] += 1
+        return spectrum(*args)
 
     def counting_inverse(*args):
         calls["inverse"] += 1
         return inverse(*args)
 
-    monkeypatch.setattr(np.fft, "rfft2", counting_rfft2)
+    monkeypatch.setattr(ScanOperator, "spectrum", counting_spectrum)
     monkeypatch.setattr(ScanOperator, "_inverse", counting_inverse)
     _, iters, _ = _cgls(op, inter.pixels + 0.01 * rng.standard_normal(inter.pixels.shape),
                         1e-30, 12)
     assert iters == 12
-    assert calls == {"rfft2": iters + 1, "inverse": iters + 1}
+    assert calls == {"spectrum": iters + 1, "inverse": iters + 1}
+
+
+def _where_inverse(h, yspec, threshold):
+    # the out-of-place divide, as a reference for the in-place one
+    mag = np.abs(h)
+    keep = (mag >= threshold * mag.max()) & (mag > 0.0)
+    return np.where(keep, yspec / np.where(keep, h, 1.0), 0.0)
+
+
+def _where_wiener(h, yspec, nsr):
+    denom = np.square(np.abs(h)) + nsr
+    safe = denom > 0.0
+    return np.where(safe, yspec * np.conj(h) / np.where(safe, denom, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("solver", [
+    InverseFilter(0.0), InverseFilter(0.05),
+    InverseFilter(1.0),  # keeps only max|H|
+    Wiener(0.0),  # zero denominators where H == 0
+    Wiener(1e-3),
+], ids=["inverse-0", "inverse-0.05", "inverse-1", "wiener-0", "wiener-1e-3"])
+def test_divide_in_place_matches_the_where_form(rng, solver):
+    h = rng.standard_normal((12, 7)) + 1j * rng.standard_normal((12, 7))
+    h[rng.random(h.shape) < 0.2] = 0.0  # exact zeros, which both divides zero
+    yspec = rng.standard_normal((12, 7)) + 1j * rng.standard_normal((12, 7))
+    if isinstance(solver, InverseFilter):
+        want = _where_inverse(h, yspec, solver.threshold)
+    else:
+        want = _where_wiener(h, yspec, solver.nsr)
+    got = solver._divide(h, yspec)
+    assert got is yspec
+    assert got.tobytes() == want.tobytes()
 
 
 # --- works on an extension below half the spot side (operator methods) ---------------

@@ -415,6 +415,33 @@ def test_pgm_subnormal_value_range(tmp_path):
     assert list(levels.flatten()) == [0, 255]
 
 
+def _pgm_body(px, bit_depth):
+    # the out-of-place scaling, as a reference for export_pgm's in-place one
+    maxval = (1 << bit_depth) - 1
+    lo, hi = float(px.min()), float(px.max())
+    if hi > lo:
+        if hi - lo == np.inf:
+            px, lo, hi = px / 2, lo / 2, hi / 2
+        levels = np.clip(np.rint((px - lo) / (hi - lo) * maxval), 0, maxval)
+    else:
+        levels = np.full(px.shape, float(1 << (bit_depth - 1)))
+    return levels.astype(">u2" if bit_depth == 16 else "u1").tobytes()
+
+
+@pytest.mark.parametrize("depth", [8, 16])
+@pytest.mark.parametrize("kind", ["scaled", "constant", "halved"])
+def test_pgm_bytes_match_the_out_of_place_scaling(tmp_path, depth, kind):
+    rng = np.random.default_rng(11)
+    data = {"scaled": 1e3 * rng.standard_normal((9, 13)),
+            "constant": np.full((9, 13), 3.7),
+            "halved": 1.7e308 * (2.0 * rng.random((9, 13)) - 1.0)}[kind]
+    if kind == "halved":
+        data[0, :2] = -1.7e308, 1.7e308  # hi - lo overflows
+    path = tmp_path / "p.pgm"
+    export_pgm(Image(data, 1.0), path, depth)
+    assert path.read_bytes().split(b"\n", 3)[3] == _pgm_body(data, depth)
+
+
 def test_pgm_range_beyond_float_max(tmp_path):
     # hi - lo overflows float64; the levels must still span the range
     data = np.array([[-1e308, 0.0, 1e308]])

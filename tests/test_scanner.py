@@ -309,6 +309,7 @@ def test_operator_adjoint_dot_test(shape, side, ext):
     (15, (9, 10), -7),  # the spot is wider than the grid: taps wrap onto each other
     (15, (12, 5), -4),
     (9, (4, 3), 0),
+    (1, (30, 40), 0),  # one row: rfft2's signed zeros of the zero rows must survive
 ])
 def test_transfer_places_the_kernel_as_fancy_indexing_does(side, grid, offset):
     # distinct integer taps: any tap out of place changes the transfer
@@ -316,7 +317,33 @@ def test_transfer_places_the_kernel_as_fancy_indexing_does(side, grid, offset):
     rows, cols = ((np.arange(side) + offset) % n for n in grid)
     kernel = np.zeros(grid)
     kernel[np.ix_(rows, cols)] = spot[::-1, ::-1]  # the last write wins on a wrapped index
-    assert np.array_equal(_transfer(spot, grid, offset), np.fft.rfft2(kernel))
+    assert _transfer(spot, grid, offset).tobytes() == np.fft.rfft2(kernel).tobytes()
+
+
+@pytest.mark.parametrize("shape, side, ext", [
+    ((24, 24), 9, 7),  # the window is a strided view of the lattice
+    ((10, 23), 5, 2),  # grid 15 x 27: an odd rFFT length
+    ((10, 12), 7, 3),  # the 16 x 18 window has as many rows as the 16 x 18 grid
+])
+def test_spectrum_is_rfft2_bitwise(shape, side, ext):
+    rng = np.random.default_rng(8)
+    op = ScanOperator(random_spot(rng, side).pixels, shape, ext)
+    y = rng.standard_normal(op.lattice)
+    for field in (rng.standard_normal(shape), y[op.sites]):
+        assert op.spectrum(field).tobytes() == np.fft.rfft2(field, op.grid).tobytes()
+
+
+def test_spectrum_and_transpose_leave_their_input_unchanged():
+    # the transforms run in place on arrays the operator owns; CGLS keeps r after transpose(r)
+    rng = np.random.default_rng(9)
+    op = ScanOperator(random_spot(rng, 9).pixels, (24, 24), 7)
+    x = rng.standard_normal((24, 24))
+    kept_x = x.copy()
+    r = op.spectrum(x)
+    assert np.array_equal(x, kept_x)
+    kept_r = r.copy()
+    op.transpose(r)
+    assert r.tobytes() == kept_r.tobytes()
 
 
 @pytest.mark.parametrize("shape, side, ext", [
