@@ -19,13 +19,14 @@ from .grid import (FormatError, Image, Rect, _integer, _positive, crop, export_p
                    save_ddsf)
 from .metrics import CSV_HEADER, compare, two_point_contrast
 from .patterns import BarGrid, PointPair, RandomBlobs, SiemensStar, generate
-from .psf import AiryCore, Disk, Gaussian, SpotImage, _microscope_window, make_spot
+from .psf import AiryCore, Disk, Gaussian, SpotImage, _microscope_quadrant, make_spot
 from .scanner import (
     SCAN_METHODS,
     Background,
     ConstantBackground,
     ScanConfig,
     ZeroBackground,
+    _even_blur,
     add_noise,
     simulate_scan,
     widefield_blur,
@@ -211,6 +212,7 @@ def build_target(cfg: PipelineConfig) -> Image:
     data[cy - half : cy + half + 1, cx - half : cx + half + 1] = 0.0
     (x1, y1), (x2, y2) = inset_pair_points(cfg)
     data[y1, x1] = data[y2, x2] = 1.0
+    data.setflags(write=False)  # fresh and owned: Image adopts it without a copy
     return Image(data, cfg.pitch)
 
 
@@ -258,10 +260,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
 
         result = recover(intermediate, spot, roi, cfg.extension, request, cfg.background)
 
-        # the baseline last: only the PSF window that its blur reads, normalized over the
+        # the baseline last: only the PSF quadrant that its blur reads, normalized over the
         # full side
-        conventional = widefield_blur(expected, _microscope_window(
-            cfg.microscope_radius, cfg.microscope_side, expected.pixels.shape, cfg.pitch))
+        conventional = _even_blur(expected, _microscope_quadrant(
+            cfg.microscope_radius, cfg.microscope_side, expected.pixels.shape))
 
         window = Rect(cfg.extension, cfg.extension, cfg.roi_width, cfg.roi_height)
         reports = {
@@ -345,14 +347,12 @@ def _cmd_blur(args: argparse.Namespace) -> Image:
         raise ValueError("--psf-side sizes a generated PSF; it cannot be used with --psf")
     sample = load_ddsf(args.sample)
     if args.psf is not None:
-        psf = load_ddsf(args.psf)
-    else:
-        radius, side = args.microscope_radius, args.microscope_side
-        if side is None:
-            _positive("first_zero_radius", radius)  # before ceil() sees it
-            side = 2 * math.ceil(radius) + 1
-        psf = _microscope_window(radius, side, sample.pixels.shape, sample.pitch)
-    return widefield_blur(sample, psf)
+        return widefield_blur(sample, load_ddsf(args.psf))
+    radius, side = args.microscope_radius, args.microscope_side
+    if side is None:
+        _positive("first_zero_radius", radius)  # before ceil() sees it
+        side = 2 * math.ceil(radius) + 1
+    return _even_blur(sample, _microscope_quadrant(radius, side, sample.pixels.shape))
 
 
 def _cmd_noise(args: argparse.Namespace) -> Image:

@@ -256,4 +256,8 @@ def recover(intermediate: Image, spot: SpotImage, roi: Rect, extension: int,
     if background.level:
         y = y - op.forward(np.zeros(op.shape), background.level)
     x, iterations, residual = request.solve(op, y)
-    return RecoveryResult(Image(_crop(x, roi), intermediate.pitch), iterations, residual)
+    if x.shape == (roi.height, roi.width):  # the whole sample: Image adopts x, uncropped
+        x.setflags(write=False)
+    else:
+        x = _crop(x, roi)
+    return RecoveryResult(Image(x, intermediate.pitch), iterations, residual)

@@ -43,10 +43,11 @@ def compare(a: Image, b: Image) -> MetricsReport:
             f"image dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
     d = a.pixels - b.pixels
-    mean_abs = float(np.mean(np.abs(d)))
     mean_signed = float(np.mean(d))
     rmse = float(np.sqrt(np.mean(np.square(d))))
-    max_abs = float(np.max(np.abs(d)))
+    d = np.abs(d, out=d)  # d is fresh: its magnitudes overwrite it
+    mean_abs = float(np.mean(d))
+    max_abs = float(np.max(d))
     peak = float(b.pixels.max())
     if rmse == 0.0:
         psnr = math.inf

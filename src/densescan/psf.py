@@ -7,15 +7,18 @@ sample returns that constant. The conventional-microscope PSF keeps its
 Airy rings (low-pass behavior), while the spot variants are compactly
 supported. Each spot profile's ``render`` checks its fit and returns its
 unnormalized image; :func:`make_spot` normalizes it. All profiles are
-radial, so each is evaluated on one octant of the odd square and
-mirrored into the rest. The octant is evaluated in blocks of rows of
+radial, so each is evaluated on one octant of the odd square's quadrant
+of offsets dy, dx >= 0 from the centre, mirrored into that quadrant and
+unfolded into the square. The octant is evaluated in blocks of rows of
 about ``_BLOCK`` radii each, written straight into the output, so the
 profile's temporaries stay in cache at any side; each value is an
 elementwise function of its radius, so the blocks change no bit. The
 Airy profiles' J1 series stops at 16 of 40 terms when no argument in a
 block exceeds 3.5, also changing no bit. The builders freeze their
 result, and :class:`~densescan.grid.Image` adopts it without a copy.
-:func:`_microscope_window` builds every generated wide-field baseline.
+:func:`_microscope_quadrant` builds every generated wide-field baseline's
+PSF as that quadrant alone; ``scanner`` blurs with it as it is, never
+unfolded.
 """
 
 from __future__ import annotations
@@ -202,21 +205,28 @@ def _airy_intensity(r: np.ndarray, first_zero_radius: float) -> np.ndarray:
     return intensity
 
 
-def _radial_image(profile, side: int) -> np.ndarray:
-    # profile(r) on the octant 0 <= dy <= dx <= c, mirrored; np.hypot ignores
-    # signs and operand order, so this matches a full-grid evaluation bitwise.
-    # A boolean mask visits the octant in np.nonzero order, also on the transpose;
-    # it is evaluated in blocks of rows holding at most _BLOCK radii.
-    c = side // 2
-    octant = ~np.tri(c + 1, k=-1, dtype=bool)
-    out = np.empty((side, side))
-    quadrant = out[c:, c:]
-    step = max(_BLOCK // (c + 1), 1)
-    for i in range(0, c + 1, step):
+def _radial_quadrant(profile, quadrant: np.ndarray) -> np.ndarray:
+    # profile(r) at offsets (dy, dx) >= 0 from the centre into the square ``quadrant``,
+    # evaluated on the octant dy <= dx and mirrored by transposition; np.hypot ignores signs
+    # and operand order, so this matches a full-grid evaluation bitwise. A boolean mask
+    # visits the octant in np.nonzero order, also on the transpose; it is evaluated in
+    # blocks of rows holding at most _BLOCK radii.
+    n = quadrant.shape[0]
+    octant = ~np.tri(n, k=-1, dtype=bool)
+    step = max(_BLOCK // n, 1)
+    for i in range(0, n, step):
         dy, dx = np.nonzero(octant[i : i + step])
         values = profile(np.hypot(dy + i, dx))
         mask = octant[i : i + step]
         quadrant[i : i + step][mask] = quadrant.T[i : i + step][mask] = values
+    return quadrant
+
+
+def _radial_image(profile, side: int) -> np.ndarray:
+    # the odd square unfolded from its quadrant, which is evaluated in place
+    c = side // 2
+    out = np.empty((side, side))
+    quadrant = _radial_quadrant(profile, out[c:, c:])
     out[c:, :c] = quadrant[:, :0:-1]
     out[:c] = out[:c:-1]
     return out
@@ -249,25 +259,27 @@ def make_microscope_psf(first_zero_radius: float, side: int, pitch: float = 1.0)
     return _normalized(_radial_image(lambda r: _airy_intensity(r, first_zero_radius), side), pitch)
 
 
-def _blur_half(psf_side: int, shape: tuple[int, int]) -> int:
-    # the half-side of the PSF window a blur of a ``shape`` sample reads: taps over
-    # max(H, W) - 1 px from the centre never meet the sample
-    return min(psf_side // 2, max(shape) - 1)
+def _blur_halves(psf_side: int, shape: tuple[int, int]) -> tuple[int, int]:
+    # per axis, the half-side of the PSF window a blur of a ``shape`` sample reads: taps
+    # over N - 1 px from the centre never meet an N-px axis
+    return tuple(min(psf_side // 2, n - 1) for n in shape)
 
 
-def _microscope_window(first_zero_radius: float, side: int, shape: tuple[int, int],
-                       pitch: float = 1.0) -> Image:
-    """The central window of ``make_microscope_psf(first_zero_radius, side, pitch)``
-    that a blur of a ``shape`` sample reads (:func:`_blur_half`). While the window is
-    smaller than the side and every radius of the side takes J1's power series (v_max =
-    AIRY_FIRST_ZERO * c * sqrt(2) / R <= ``_SERIES_CUTOFF``), only the window is
-    evaluated, normalized by :func:`_airy_square_sum` (within 1e-14 relative of the
-    crop; above the cutoff the asymptotic J1 puts the evaluated sum 5e-14 off the exact
-    one); otherwise it is the PSF's central crop, or the PSF itself, bit for bit."""
+def _microscope_quadrant(first_zero_radius: float, side: int,
+                         shape: tuple[int, int]) -> np.ndarray:
+    """The quadrant ``[c:, c:]`` of ``make_microscope_psf(first_zero_radius, side)`` that a
+    blur of a ``shape`` sample reads, h + 1 px per axis (:func:`_blur_halves`); the PSF is
+    even in both axes, so the quadrant is all of it that the blur needs. While the halves
+    are smaller than c = side // 2 and every radius of the side takes J1's power series
+    (v_max = AIRY_FIRST_ZERO * c * sqrt(2) / R <= ``_SERIES_CUTOFF``), only the quadrant
+    is evaluated, normalized by :func:`_airy_square_sum` (within 1e-14 relative of the
+    PSF's; above the cutoff the asymptotic J1 puts the evaluated sum 5e-14 off the exact
+    one); otherwise it is the PSF's quadrant, bit for bit. Frozen."""
     side = _odd("psf side", side)
     _positive("first_zero_radius", first_zero_radius)
     c = side // 2
-    half = _blur_half(side, shape)
+    rows, cols = (h + 1 for h in _blur_halves(side, shape))
+    half = max(rows, cols) - 1
     try:  # v_max is inf for a tiny R; a side or a sum beyond float range overflows
         v_max = AIRY_FIRST_ZERO * c * math.sqrt(2.0) / first_zero_radius
         closed = half < c and v_max <= _SERIES_CUTOFF
@@ -275,11 +287,14 @@ def _microscope_window(first_zero_radius: float, side: int, shape: tuple[int, in
     except OverflowError:
         raise ValueError("psf side and first_zero_radius must keep the PSF's sum finite") from None
     if closed:
-        window = _radial_image(lambda r: _airy_intensity(r, first_zero_radius), 2 * half + 1)
-        return _normalized(window, pitch, total)
-    psf = make_microscope_psf(first_zero_radius, side, pitch)
-    lo, hi = c - half, c + half + 1
-    return psf if half == c else Image(psf.pixels[lo:hi, lo:hi], pitch)
+        quadrant = _radial_quadrant(lambda r: _airy_intensity(r, first_zero_radius),
+                                    np.empty((half + 1, half + 1)))[:rows, :cols]
+        quadrant /= total
+    else:  # a copy, so that the full PSF is freed
+        quadrant = make_microscope_psf(first_zero_radius, side).pixels[c : c + rows,
+                                                                       c : c + cols].copy()
+    quadrant.setflags(write=False)
+    return quadrant
 
 
 def _airy_square_sum(first_zero_radius: float, side: int) -> float:
@@ -325,9 +340,9 @@ def _airy_square_sum(first_zero_radius: float, side: int) -> float:
             return acc / den
 
 
-def _normalized(values: np.ndarray, pitch: float, total: float | None = None) -> Image:
-    # each profile is 1 at the centre pixel, so the sum (of values, unless given) is
-    # >= 1; divided in place and frozen, the array is adopted by Image without a copy
-    values /= values.sum() if total is None else total
+def _normalized(values: np.ndarray, pitch: float) -> Image:
+    # each profile is 1 at the centre pixel, so the sum is >= 1; divided in place and
+    # frozen, the array is adopted by Image without a copy
+    values /= values.sum()
     values.setflags(write=False)
     return Image(values, pitch)

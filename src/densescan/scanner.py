@@ -9,30 +9,39 @@ field, so usual-scan outputs are bit-identical to subsampled dense-scan
 outputs by construction.
 
 That correlation is one linear map, :class:`ScanOperator`, used by the
-fft scan, all four solvers and the wide-field blur. Only the sites
-within pad = min(extension, spot_side // 2) px of an N-px sample can be
-nonzero, N + 2 * pad per axis. It computes them on a circular grid of
-the next 5-smooth (fast FFT) length >= N + pad + spot_side // 2 per
-axis, the shortest on which no kept site reads a wrapped sample
-(overlap-save), so the circular product is exact there: N + spot_side -
-1 when extension >= spot_side // 2, N + spot_side // 2 for a blur. It
-writes those sites into a zero lattice of N + 2 * extension per axis,
-so any border beyond them is exactly zero; a step-1 scan or blur hands
-that lattice to :class:`~densescan.grid.Image` frozen, without a further
-copy. The transforms run in place: each call fills one spectrum of the
-grid (a row rFFT, then the column FFT over it), multiplies or divides it
-in place and transforms it back in place, bitwise equal to ``rfft2`` and
-``irfft2``. The transfer places the kernel by slice copies and
-row-transforms only the spot's rows (101 of 400 in the default scan);
-the inverse transforms back only the rows it keeps (300 of 600 in the
-default blur). The spectral solvers divide by its
-transfer in :meth:`~ScanOperator.deconvolve`, which alone holds their
-rule: exact only when extension >= spot_side // 2, it raises below
-that. The wide-field blur is the same map with the flipped PSF and no
-extension, cropped by ``psf._blur_half`` to the 2(N - 1) + 1 taps that
-can meet an N-px sample; a generated PSF is built no wider. Of the
-``SCAN_METHODS``, ``auto`` and ``fft`` run it; ``direct``, the
-bit-reproducible reference, sums taps in a fixed order at kept sites.
+fft scan, all four solvers and the wide-field blur of an uneven PSF.
+Only the sites within pad = min(extension, spot_side // 2) px of an N-px
+sample can be nonzero, N + 2 * pad per axis. It computes them on a
+circular grid of the next 5-smooth (fast FFT) length >= N + pad +
+spot_side // 2 per axis, the shortest on which no kept site reads a
+wrapped sample (overlap-save), so the circular product is exact there:
+N + spot_side - 1 when extension >= spot_side // 2. It writes those
+sites into a zero lattice of N + 2 * extension per axis, so any border
+beyond them is exactly zero; a step-1 scan hands that lattice to
+:class:`~densescan.grid.Image` frozen, without a further copy. The
+transforms run in place: each call fills one spectrum of the grid (a row
+rFFT, then the column FFT over it), multiplies or divides it in place and
+transforms it back in place, bitwise equal to ``rfft2`` and ``irfft2``;
+the inverse writes the rows it keeps, in blocks of about ``_BLOCK``
+values, straight into the caller's array (the lattice, or a fresh
+window or sample). The transfer places the kernel by slice copies and
+row-transforms only the spot's rows (101 of 400 in the default scan).
+The spectral solvers divide by its transfer in
+:meth:`~ScanOperator.deconvolve`, which alone holds their rule: exact
+only when extension >= spot_side // 2, it raises below that.
+
+The wide-field blur is a same-size convolution with no extension; only
+the taps within N - 1 px of the centre per axis can meet an N-px sample
+(``psf._blur_halves``), and a generated PSF is built no wider. A PSF
+whose window is even in both axes (equal to both its flips, as every
+generated Airy PSF is) has a real, even transfer, so :func:`_even_blur`
+builds it from the window's quadrant alone with two real rFFTs
+(:func:`_even_transfer`) on the next 5-smooth length >= N + h per axis,
+and scales the sample's spectrum by it; it differs from the complex
+route by a few ulps. Any other PSF takes the operator above, with the
+flipped square window. Of the ``SCAN_METHODS``, ``auto`` and ``fft`` run
+the transforms; ``direct``, the bit-reproducible reference, sums taps in
+a fixed order at kept sites, for a blur on the flipped square window.
 
 Lattice convention: sites per axis are c_i = -extension + (step-1)//2 +
 i*step for i in range(floor((N + 2*extension)/step)); footprints are
@@ -47,7 +56,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Image, _integer, _nonnegative, _odd
-from .psf import SpotImage, _blur_half
+from .psf import SpotImage, _blur_halves
+
+# float64 per row block of _inverse's irfft: a block stays in a core's L2 cache
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -133,6 +145,32 @@ def _transfer(spot: np.ndarray, grid: tuple[int, int], offset: int) -> np.ndarra
     return np.fft.fft(spec, axis=0, out=spec)
 
 
+def _spectrum(field: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+    """rFFT on ``grid`` of a field at its origin, bitwise ``rfft2(field, grid)``: rfftn's
+    row rfft, then its zero-padded column fft, run in place."""
+    spec = np.empty((grid[0], grid[1] // 2 + 1), complex)
+    rows = field.shape[0]
+    np.fft.rfft(field, grid[1], axis=1, out=spec[:rows])
+    spec[rows:] = 0.0
+    return np.fft.fft(spec, axis=0, out=spec)
+
+
+def _inverse(spec: np.ndarray, grid: tuple[int, int], out: np.ndarray) -> np.ndarray:
+    """``irfft2(spec, grid)[:rows, :cols]`` written into ``out`` of (rows, cols), bitwise:
+    numpy's irfft2 runs this axis-0 ifft, then a last-axis irfft that treats each row on
+    its own, here in blocks of rows of about ``_BLOCK`` values. The ifft overwrites spec,
+    which every caller owns."""
+    np.fft.ifft(spec, axis=0, out=spec)
+    rows, cols = out.shape
+    step = max(_BLOCK // grid[1], 1)
+    block = np.empty((min(step, rows), grid[1]))
+    for i in range(0, rows, step):
+        part = block[: rows - i]
+        np.fft.irfft(spec[i : i + len(part)], grid[1], axis=1, out=part)
+        out[i : i + len(part)] = part[:, :cols]
+    return out
+
+
 class ScanOperator:
     """The step-1 scan of a sample of ``shape`` (rows, columns), built
     once per (spot, sample shape, extension); see the module docstring.
@@ -166,12 +204,12 @@ class ScanOperator:
         """Scan field of ``x`` with the sample extended by ``level``, written into
         ``out`` (a zero ``lattice``) when it is given."""
         # Over a constant periphery the scan is the zero-background scan
-        # of x - level plus level times the spot's total weight. The lattice is allocated
-        # after the FFT temporaries are freed, so that repeated calls reuse their pages.
-        window = self.forward_window(x - level if level else x)
+        # of x - level plus level times the spot's total weight.
+        spec = self.spectrum(x - level if level else x)
+        spec *= self.transfer
         if out is None:
             out = np.zeros(self.lattice)
-        out[self.sites] = window
+        _inverse(spec, self.grid, out[self.sites])
         if level:
             out += level * float(self.spot.sum())
         return out
@@ -180,7 +218,7 @@ class ScanOperator:
         """The zero-background scan of ``x`` at the window ``sites``; it is 0 elsewhere."""
         spec = self.spectrum(x)
         spec *= self.transfer
-        return self._inverse(spec, *self._window)
+        return _inverse(spec, self.grid, np.empty(self._window))
 
     def forward_spectrum(self, x: np.ndarray) -> np.ndarray:
         """:meth:`spectrum` of :meth:`forward_window` of ``x``."""
@@ -192,19 +230,14 @@ class ScanOperator:
 
     def spectrum(self, field: np.ndarray) -> np.ndarray:
         """rFFT on ``grid`` of a field at its origin: a sample or a window of ``sites``."""
-        # rfft2(field, grid) bitwise: rfftn's row rfft, then its zero-padded column fft
-        spec = np.empty((self.grid[0], self.grid[1] // 2 + 1), complex)
-        rows = field.shape[0]
-        np.fft.rfft(field, self.grid[1], axis=1, out=spec[:rows])
-        spec[rows:] = 0.0
-        return np.fft.fft(spec, axis=0, out=spec)
+        return _spectrum(field, self.grid)
 
     def transpose(self, spec: np.ndarray) -> np.ndarray:
         """Transpose of the zero-background scan, applied to a window :meth:`spectrum`."""
         # conj(conj(Y) * H) == Y * conj(H), with no conj(H) temporary
         spec = np.conjugate(spec)
         spec *= self.transfer
-        return self._inverse(np.conjugate(spec, out=spec), *self.shape)
+        return _inverse(np.conjugate(spec, out=spec), self.grid, np.empty(self.shape))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Transpose of the zero-background :meth:`forward`."""
@@ -219,18 +252,46 @@ class ScanOperator:
 
     def deconvolve(self, y: np.ndarray, divide) -> np.ndarray:
         """``divide(transfer, spectrum)`` of the sites :meth:`adjoint` reads, transformed
-        back; ``divide`` may overwrite the spectrum, which is its own."""
+        back into a fresh sample-shaped array; ``divide`` may overwrite the spectrum, which
+        is its own."""
         if self._offset:  # the window crops the correlation: no division recovers x
             raise ValueError(f"spectral methods need extension >= {self.spot.shape[0] // 2} "
                              f"(half the spot side), got {self.extension}")
-        return self._inverse(divide(self.transfer, self.spectrum(y[self.sites])), *self.shape)
+        out = np.empty(self.shape)  # below the spectrum in the heap, as in _even_blur
+        spec = divide(self.transfer, self.spectrum(y[self.sites]))
+        return _inverse(spec, self.grid, out)
 
-    def _inverse(self, spec: np.ndarray, rows: int, cols: int) -> np.ndarray:
-        # irfft2(spec, grid)[:rows, :cols] bitwise: numpy's irfft2 runs this
-        # axis-0 ifft, then a last-axis irfft that treats each row on its own.
-        # The ifft overwrites spec, which every caller owns.
-        np.fft.ifft(spec, axis=0, out=spec)
-        return np.fft.irfft(spec[:rows], self.grid[1], axis=1)[:, :cols]
+
+def _even_transfer(quadrant: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+    """Rows 0..grid[0] // 2 of the rFFT on ``grid`` of the kernel whose tap (m, n) is
+    ``quadrant[|m|, |n|]`` (indices modulo the grid, which must hold its 2 h + 1 taps per
+    axis). The kernel is even in both axes, so the transform is real and even: per axis,
+    the DFT of an even sequence is twice the real part of the rFFT of its half from tap 0,
+    less tap 0."""
+    half = np.fft.rfft(quadrant, grid[1], axis=1).real * 2.0
+    half -= quadrant[:, :1]
+    transfer = np.fft.rfft(half, grid[0], axis=0).real * 2.0
+    transfer -= half[:1]
+    return transfer
+
+
+def _even_blur(sample: Image, quadrant: np.ndarray) -> Image:
+    """:func:`widefield_blur` of ``sample`` with a PSF that is even in both axes, given as
+    its quadrant ``[c:, c:]`` cropped per axis to at most N px (``psf._blur_halves``)."""
+    grid = tuple(_fast_len(n + q - 1) for n, q in zip(sample.pixels.shape, quadrant.shape))
+    # The output outlives the call, so it is allocated below the temporaries in the heap,
+    # whose top glibc can then trim: 53.6-53.8 against 57.2-58.4 MB peak RSS
+    # (pipeline_default, 2-vCPU VM, with the same order in deconvolve).
+    out = np.empty(sample.pixels.shape)
+    transfer = _even_transfer(quadrant, grid)
+    spec = _spectrum(sample.pixels, grid)
+    mid = grid[0] // 2 + 1  # row f >= mid of the spectrum takes transfer row grid[0] - f
+    spec[:mid] *= transfer
+    spec[mid:] *= transfer[(grid[0] - 1) // 2 : 0 : -1]
+    del transfer  # freed before the inverse's row block is allocated
+    _inverse(spec, grid, out)
+    out.setflags(write=False)  # fresh and owned: Image adopts it without a copy
+    return Image(out, sample.pitch)
 
 
 SCAN_METHODS = ("auto", "fft", "direct")
@@ -290,15 +351,21 @@ def widefield_blur(sample: Image, microscope_psf: Image, method: str = "auto") -
 
     Zero boundary handling (the periphery is preprocessed to zero).
     The PSF must be square with an odd side. Only its central window is
-    read: taps over max(H, W) - 1 px from the center never meet the
-    sample, so dropping them changes no output (bitwise on ``direct``).
-    method is as for :func:`simulate_scan`.
+    read: taps over N - 1 px from the center never meet an N-px axis of
+    the sample, so dropping them changes no output (bitwise on ``direct``).
+    method is as for :func:`simulate_scan`; ``auto`` and ``fft`` blur a
+    window that is even in both axes from its quadrant (module docstring).
     """
     psf = microscope_psf.pixels
     if psf.shape[0] != psf.shape[1]:
         raise ValueError(f"psf must be square, got {psf.shape[1]}x{psf.shape[0]}")
-    _odd("psf side", psf.shape[0])
-    cut = psf.shape[0] // 2 - _blur_half(psf.shape[0], sample.pixels.shape)
+    c = _odd("psf side", psf.shape[0]) // 2
+    hy, hx = _blur_halves(psf.shape[0], sample.pixels.shape)
+    if method in ("auto", "fft"):
+        window = psf[c - hy : c + hy + 1, c - hx : c + hx + 1]
+        if np.array_equal(window, window[::-1]) and np.array_equal(window, window[:, ::-1]):
+            return _even_blur(sample, window[hy:, hx:])
+    cut = c - max(hy, hx)
     psf = psf[cut : psf.shape[0] - cut, cut : psf.shape[0] - cut]
     # convolution = correlation with the flipped kernel
     return Image(_scan_field(sample.pixels, psf[::-1, ::-1], 0, 0.0, method), sample.pitch)

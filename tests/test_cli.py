@@ -22,9 +22,10 @@ from densescan.cli import (
 from densescan.deconv import recover
 from densescan.grid import DDSF_HEADER, DDSF_MAGIC, Rect, load_ddsf, new_image, save_ddsf
 from densescan.metrics import CSV_HEADER
-from densescan.psf import (AiryCore, Gaussian, SpotImage, _microscope_window,
+from densescan.psf import (AiryCore, Gaussian, SpotImage, _microscope_quadrant,
                            make_microscope_psf, make_spot)
-from densescan.scanner import ConstantBackground, ScanConfig, simulate_scan, widefield_blur
+from densescan.scanner import (ConstantBackground, ScanConfig, _even_blur, simulate_scan,
+                               widefield_blur)
 
 SMALL_CONFIG = """
 # compact harness instance for fast end-to-end checks
@@ -722,7 +723,8 @@ def test_default_pipeline_blurs_with_the_full_psf(tmp_path):
 
 
 def test_default_pipeline_peak_memory(tmp_path):
-    # the 2001^2 PSF alone is 30.5 MiB; the 599^2 window the blur reads is 2.7 MiB
+    # the 2001^2 PSF alone is 30.5 MiB; the 300^2 quadrant the blur reads is 0.7 MiB.
+    # 8.31 MiB measured (numpy 2.4.6), so 1.19 MiB of margin
     import tracemalloc
 
     tracemalloc.start()
@@ -731,7 +733,7 @@ def test_default_pipeline_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * 2**20
+    assert peak <= 9.5 * 2**20
 
 
 def _peak_mib(call):
@@ -747,24 +749,26 @@ def _peak_mib(call):
 
 def test_default_blur_and_recovery_peak_memory():
     # the transforms run in place: one grid spectrum per call (600^2 for the blur,
-    # 400^2 for the inverse solve) besides the operator's transfer
+    # 400^2 for the inverse solve) besides the transfer, which is the real 301^2 half
+    # of an even kernel's for the blur. The blur measured 4.39 MiB (numpy 2.4.6), so
+    # 0.61 MiB of margin
     cfg = PipelineConfig()
     expected, spot = build_target(cfg), build_spot(cfg)
-    psf = _microscope_window(cfg.microscope_radius, cfg.microscope_side,
-                             expected.pixels.shape, cfg.pitch)
-    assert _peak_mib(lambda: widefield_blur(expected, psf)) <= 8.5
+    quadrant = _microscope_quadrant(cfg.microscope_radius, cfg.microscope_side,
+                                    expected.pixels.shape)
+    assert _peak_mib(lambda: _even_blur(expected, quadrant)) <= 5.0
     inter = simulate_scan(expected, spot, ScanConfig(cfg.step, cfg.extension), cfg.scan_method)
     roi = Rect(0, 0, cfg.roi_width, cfg.roi_height)
     request = cli.SOLVERS[cfg.method](cfg)
     assert _peak_mib(lambda: recover(inter, spot, roi, cfg.extension, request)) <= 4.5
 
 
-# a 64 px run's 127^2 window of a 201^2 PSF (v_max 27, cropped from the full PSF), and
-# the default run's 599^2 window of the 2001^2 PSF (normalized by the closed-form sum)
+# a 64 px run's 64^2 quadrant of a 201^2 PSF (v_max 27, cropped from the full PSF), and
+# the default run's 300^2 quadrant of the 2001^2 PSF (normalized by the closed-form sum)
 @pytest.mark.parametrize("extra", ["microscope_radius = 20\nmicroscope_side = 201\n", None],
                          ids=["small-201", "default"])
 def test_blur_airy_radius_writes_the_pipeline_baseline(tmp_path, extra):
-    # blur --airy-radius builds the PSF window the pipeline builds, so it writes the
+    # blur --airy-radius builds the PSF quadrant the pipeline builds, so it writes the
     # pipeline's conventional image byte for byte
     cfg = PipelineConfig() if extra is None else load_config(write_small_config(tmp_path, extra))
     run = tmp_path / "run"
@@ -777,7 +781,7 @@ def test_blur_airy_radius_writes_the_pipeline_baseline(tmp_path, extra):
 
 
 def test_blur_airy_radius_peak_memory(tmp_path):
-    # the 2001^2 PSF alone is 30.5 MiB; the 599^2 window a 300^2 blur reads is 2.7 MiB
+    # the 2001^2 PSF alone is 30.5 MiB; the 300^2 quadrant a 300^2 blur reads is 0.7 MiB
     import tracemalloc
 
     sample = tmp_path / "s.ddsf"
@@ -793,7 +797,7 @@ def test_blur_airy_radius_peak_memory(tmp_path):
 
 
 def test_blur_airy_radius_with_a_huge_side(tmp_path):
-    # the 16 px sample reads a 31^2 window of a 2,000,001^2 PSF, whose sum is in closed form
+    # the 16 px sample reads a 16^2 quadrant of a 2,000,001^2 PSF, whose sum is in closed form
     sample = tmp_path / "s.ddsf"
     save_ddsf(new_image(16, 16, 0.1, 1.0), sample)
     out = tmp_path / "b.ddsf"
@@ -839,9 +843,9 @@ def test_bad_noise_sweep_fails_before_the_microscope_psf(tmp_path, monkeypatch, 
 
     def counting_microscope_window(*args):
         calls.append(args)
-        return _microscope_window(*args)
+        return _microscope_quadrant(*args)
 
-    monkeypatch.setattr(cli, "_microscope_window", counting_microscope_window)
+    monkeypatch.setattr(cli, "_microscope_quadrant", counting_microscope_window)
     cfg = replace(load_config(write_small_config(tmp_path)), noise_sweep=(sigma,))
     out = tmp_path / "run"
     with pytest.raises(ConfigError, match="^noise_sweep: sigma must be finite and >= 0"):
@@ -856,9 +860,9 @@ def test_bad_solve_fails_before_the_microscope_psf(tmp_path, monkeypatch):
 
     def counting_microscope_window(*args):
         calls.append(args)
-        return _microscope_window(*args)
+        return _microscope_quadrant(*args)
 
-    monkeypatch.setattr(cli, "_microscope_window", counting_microscope_window)
+    monkeypatch.setattr(cli, "_microscope_quadrant", counting_microscope_window)
     cfg = replace(load_config(write_small_config(tmp_path)),
                   spot_side=15, extension=6, method="inverse")
     out = tmp_path / "run"

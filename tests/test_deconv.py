@@ -216,6 +216,41 @@ def test_recover_sub_window(rng):
     assert np.max(np.abs(res.recovered.pixels - sample.pixels[6:18, 4:14])) < 1e-9
 
 
+@pytest.mark.parametrize("request_", [
+    InverseFilter(1e-9), Wiener(1e-6), RichardsonLucy(3), LeastSquaresCG(1e-10, 3),
+], ids=["inverse", "wiener", "rl", "cgls"])
+def test_recover_of_the_whole_sample_adopts_the_solve(monkeypatch, rng, request_):
+    # the solve's fresh array becomes the recovered image, uncropped and uncopied; a
+    # sub-window is still a crop of the same values
+    sample = Image(rng.random((20, 30)), 1.0)
+    spot = make_spot(Gaussian(1.0), 9)
+    inter = forward(sample, spot, 8)
+    solved = []
+    solve = type(request_).solve
+
+    def keeping(self, op, y):
+        solved.append(solve(self, op, y))
+        return solved[-1]
+
+    monkeypatch.setattr(type(request_), "solve", keeping)
+    whole = recover(inter, spot, Rect(0, 0, 30, 20), 8, request_).recovered.pixels
+    assert whole is solved[0][0]
+    part = recover(inter, spot, Rect(3, 2, 25, 16), 8, request_).recovered.pixels
+    assert part.tobytes() == whole[2:18, 3:28].tobytes()
+
+
+def test_spectral_solve_is_the_full_irfft2_bitwise(rng):
+    # deconvolve's blocked inverse against irfft2 of the same divided spectrum
+    spot = make_spot(Gaussian(1.0), 9)
+    inter = forward(Image(rng.random((120, 700)), 1.0), spot, 8)  # 120 rows in blocks of 45
+    op = ScanOperator(spot.pixels, (120, 700), 8)
+    request = InverseFilter(1e-9)
+    spec = request._divide(op.transfer, np.fft.rfft2(inter.pixels[op.sites], op.grid))
+    want = np.fft.irfft2(spec, op.grid)[:120, :700]
+    assert recover(inter, spot, Rect(0, 0, 700, 120), 8, request).recovered.pixels.tobytes() \
+        == want.tobytes()
+
+
 def test_constant_background_reduction(rng):
     level = 0.4
     sample = Image(rng.random((32, 32)), 1.0)
@@ -488,7 +523,7 @@ def test_cgls_transforms_once_each_way_per_iteration(monkeypatch, rng, ext):
     op = ScanOperator(spot.pixels, (24, 24), ext)
     op.transfer  # computed once, outside the count
     calls = {"spectrum": 0, "inverse": 0}
-    spectrum, inverse = ScanOperator.spectrum, ScanOperator._inverse
+    spectrum, inverse = ScanOperator.spectrum, scanner._inverse
 
     def counting_spectrum(*args):
         calls["spectrum"] += 1
@@ -499,7 +534,7 @@ def test_cgls_transforms_once_each_way_per_iteration(monkeypatch, rng, ext):
         return inverse(*args)
 
     monkeypatch.setattr(ScanOperator, "spectrum", counting_spectrum)
-    monkeypatch.setattr(ScanOperator, "_inverse", counting_inverse)
+    monkeypatch.setattr(scanner, "_inverse", counting_inverse)
     _, iters, _ = _cgls(op, inter.pixels + 0.01 * rng.standard_normal(inter.pixels.shape),
                         1e-30, 12)
     assert iters == 12

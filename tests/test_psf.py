@@ -14,7 +14,7 @@ from densescan.psf import (
     _airy_intensity,
     _airy_square_sum,
     _j1_asymptotic,
-    _microscope_window,
+    _microscope_quadrant,
     AiryCore,
     Disk,
     Gaussian,
@@ -372,23 +372,25 @@ def test_default_psf_peak_memory_is_near_its_output():
 
 
 # --- the blur's window ----------------------------------------------------------------
-# _microscope_window gives the central 2 half + 1 square of the microscope PSF that a blur
-# of an (half + 1)^2 sample reads: evaluated alone and normalized by the closed-form sum
-# of the full side, or cropped from make_microscope_psf.
+# _microscope_quadrant gives the quadrant [c:, c:] of the central 2 h + 1 window of the
+# microscope PSF that a blur of an (N_0, N_1) sample reads, h = min(c, N - 1) per axis:
+# evaluated alone and normalized by the closed-form sum of the full side, or cropped from
+# make_microscope_psf.
 
-def central_window(image, half):
+def central_quadrant(image, shape):
     c = image.width // 2
-    return image.pixels[c - half : c + half + 1, c - half : c + half + 1]
+    rows, cols = (min(c, n - 1) + 1 for n in shape)
+    return image.pixels[c : c + rows, c : c + cols]
 
 
 @pytest.mark.parametrize("radius, side, half", [
     (2.0, 1, 0), (2.0, 1, 5), (3.0, 61, 30), (3.0, 61, 100), (20.0, 401, 200),
 ])
 def test_microscope_window_is_the_psf_when_it_covers_the_side(radius, side, half):
-    window = _microscope_window(radius, side, (half + 1, half + 1), 0.1)
-    psf = make_microscope_psf(radius, side, 0.1)
-    assert window.pitch == psf.pitch
-    assert np.array_equal(window.pixels, psf.pixels)
+    quadrant = _microscope_quadrant(radius, side, (half + 1, half + 1))
+    psf = make_microscope_psf(radius, side, 0.1).pixels
+    assert not quadrant.flags.writeable
+    assert np.array_equal(quadrant, psf[side // 2 :, side // 2 :])
 
 
 @pytest.mark.parametrize("radius, side, half", [
@@ -400,11 +402,26 @@ def test_microscope_window_is_the_psf_when_it_covers_the_side(radius, side, half
     (2000.0, 2001, 299),  # the default pipeline's window: 1001 rows in blocks of 32
 ])
 def test_microscope_window_is_the_central_window(radius, side, half):
-    window = _microscope_window(radius, side, (half + 1, half + 1), 0.1)
-    want = central_window(make_microscope_psf(radius, side, 0.1), half)
-    assert window.pitch == 0.1
-    assert window.pixels.shape == want.shape
-    assert np.all(np.abs(window.pixels - want) <= 1e-14 * want)
+    shape = (half + 1, half + 1)
+    quadrant = _microscope_quadrant(radius, side, shape)
+    want = central_quadrant(make_microscope_psf(radius, side, 0.1), shape)
+    assert quadrant.shape == want.shape == (half + 1, half + 1)
+    assert np.all(np.abs(quadrant - want) <= 1e-14 * want)
+
+
+@pytest.mark.parametrize("radius, side, shape", [
+    # the closed route: these sides' closed sums equal the evaluated PSF's sum
+    (2000.0, 2001, (300, 300)), (2000.0, 2001, (300, 40)), (40.0, 81, (64, 40)),
+    (300.0, 601, (11, 3)), (7.0, 21, (2, 6)),
+    # the crop route: v_max above the cutoff, or the window is the whole side
+    (20.0, 201, (64, 40)), (20.0, 201, (40, 64)), (3.0, 61, (100, 7)), (40.0, 81, (41, 64)),
+])
+def test_microscope_quadrant_is_the_psf_quadrant_bitwise(radius, side, shape):
+    # cropped per axis, so a sample thinner than the window's half reads fewer rows
+    quadrant = _microscope_quadrant(radius, side, shape)
+    want = central_quadrant(make_microscope_psf(radius, side), shape)
+    assert quadrant.shape == tuple(min(side // 2, n - 1) + 1 for n in shape)
+    assert np.array_equal(quadrant, want)
 
 
 # Below v_max = _SERIES_CUTOFF the side's sum is _airy_square_sum, the series of
@@ -474,13 +491,14 @@ def test_microscope_window_sums_in_closed_form_only_where_it_pays(
         return _airy_square_sum(*args)
 
     monkeypatch.setattr(psf_module, "_airy_square_sum", counting)
-    window = _microscope_window(radius, side, (half + 1, half + 1), 0.1)
+    shape = (half + 1, half + 1)
+    quadrant = _microscope_quadrant(radius, side, shape)
     assert (v_max(radius, side) <= _SERIES_CUTOFF) == closed
     assert calls == ([(radius, side)] if closed else [])
-    assert window.pixels.shape == (2 * half + 1, 2 * half + 1)
+    assert quadrant.shape == shape
     if side <= 2001:
-        want = central_window(make_microscope_psf(radius, side, 0.1), half)
-        assert np.all(np.abs(window.pixels - want) <= 1e-14 * want)
+        want = central_quadrant(make_microscope_psf(radius, side, 0.1), shape)
+        assert np.all(np.abs(quadrant - want) <= 1e-14 * want)
 
 
 @pytest.mark.parametrize("radius, side, half", [
@@ -489,10 +507,9 @@ def test_microscope_window_sums_in_closed_form_only_where_it_pays(
 ])
 def test_microscope_window_outside_the_closed_route_is_the_crop(radius, side, half):
     assert v_max(radius, side) > _SERIES_CUTOFF
-    window = _microscope_window(radius, side, (half + 1, half + 1), 0.1)
-    want = central_window(make_microscope_psf(radius, side, 0.1), half)
-    assert window.pitch == 0.1
-    assert np.array_equal(window.pixels, want)
+    shape = (half + 1, half + 1)
+    quadrant = _microscope_quadrant(radius, side, shape)
+    assert np.array_equal(quadrant, central_quadrant(make_microscope_psf(radius, side), shape))
 
 
 @pytest.mark.parametrize("radius, side, message", [
@@ -502,7 +519,7 @@ def test_microscope_window_outside_the_closed_route_is_the_crop(radius, side, ha
 def test_microscope_window_rejects_what_the_psf_rejects(radius, side, message):
     for half in (0, 10, 100):
         with pytest.raises(ValueError, match=message):
-            _microscope_window(radius, side, (half + 1, half + 1))
+            _microscope_quadrant(radius, side, (half + 1, half + 1))
     with pytest.raises(ValueError, match=message):
         make_microscope_psf(radius, side)
 

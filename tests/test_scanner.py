@@ -11,6 +11,8 @@ from densescan.scanner import (
     ScanOperator,
     ZeroBackground,
     _corr_valid_direct,
+    _even_blur,
+    _even_transfer,
     _scan_field,
     _transfer,
     add_noise,
@@ -222,6 +224,7 @@ def _window(shape, side, ext):
     ((30, 30), 21, 4),  # extension < spot_side // 2: forward keeps 38 of 45 rows
     ((2, 3), 15, 0),  # the 15-tap spot is wider than the 9 x 10 grid
     ((2, 3), 15, 3),  # and than its 12 rows
+    ((120, 700), 9, 4),  # grid 128 x 720: the inverse runs in blocks of 45 rows
 ])
 def test_operator_inverse_equals_full_irfft2_bitwise(shape, side, ext):
     # the pruned inverse against the full irfft2 of the same spectrum, then the crop
@@ -262,8 +265,14 @@ def test_operator_grid_sizes(monkeypatch):
 
     monkeypatch.setattr("densescan.scanner.ScanOperator", Spy)
     sample = Image(np.random.default_rng(0).random((30, 31)), 1.0)
-    widefield_blur(sample, make_microscope_psf(3.0, 81), "fft")
+    psf = make_microscope_psf(3.0, 81)
+    widefield_blur(sample, Image(np.roll(psf.pixels, 1, axis=1), 1.0), "fft")  # not even
     assert grids == [((61, 61), (60, 64))]  # 2 * (31 - 1) + 1 taps; 30 + 30 and 31 + 30 -> 64
+    # an even PSF is blurred from its quadrant, cropped per axis, on the same grid
+    monkeypatch.setattr("densescan.scanner._even_transfer", lambda q, grid: grids.append(
+        (q.shape, grid)) or _even_transfer(q, grid))
+    widefield_blur(sample, psf, "fft")
+    assert grids[1:] == [((30, 31), (60, 64))]
 
 
 @pytest.mark.parametrize("shape, side, ext", [
@@ -466,6 +475,77 @@ def test_default_blur_matches_dot_products():
         window = psf[c + i - h + 1 : c + i + 1, c + j - w + 1 : c + j + 1][::-1, ::-1]
         want = np.dot(target.pixels.ravel(), window.ravel())
         assert abs(blurred[i, j] - want) <= 1e-16
+
+
+# A window even in both axes is blurred from its quadrant through a real transfer; any
+# other PSF, and method "direct", keep the scan operator's complex one. The reference sums
+# every tap with Neumaier compensation, within about an ulp of the exact convolution; the
+# direct path's plain running sum is itself tens of ulps off for a 61^2 window.
+
+def unfolded(quadrant):
+    c = quadrant.shape[0] - 1
+    full = np.empty((2 * c + 1, 2 * c + 1))
+    full[c:, c:] = quadrant
+    full[c:, :c] = quadrant[:, :0:-1]
+    full[:c] = full[:c:-1]
+    return full
+
+
+def compensated_blur(x, psf):
+    h, w = x.shape
+    c = min(psf.shape[0] // 2, max(h, w) - 1)
+    mid = psf.shape[0] // 2
+    flipped = psf[mid - c : mid + c + 1, mid - c : mid + c + 1][::-1, ::-1]
+    padded = np.pad(x, c)
+    total, comp = np.zeros((h, w)), np.zeros((h, w))
+    for u in range(2 * c + 1):
+        for v in range(2 * c + 1):
+            term = flipped[u, v] * padded[u : u + h, v : v + w]
+            t = total + term
+            comp += np.where(np.abs(total) >= np.abs(term), (total - t) + term, (term - t) + total)
+            total = t
+    return total + comp
+
+
+BLUR_SHAPES = [(40, 40), (17, 33), (33, 17), (3, 40), (40, 1), (1, 1)]  # 3 rows < 61 // 2
+
+
+@pytest.mark.parametrize("side", [1, 3, 5, 13, 31, 61])
+@pytest.mark.parametrize("shape", BLUR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_even_psf_blur_matches_direct(side, shape):
+    rng = np.random.default_rng([side, *shape])
+    psf = unfolded(rng.random((side // 2 + 1, side // 2 + 1)))
+    psf = Image(psf / psf.sum(), 1.0)
+    sample = Image(rng.random(shape), 1.0)
+    got = widefield_blur(sample, psf)
+    # the even route: the quadrant of the window, cropped per axis
+    c, (hy, hx) = side // 2, (min(side // 2, n - 1) for n in shape)
+    quadrant = psf.pixels[c : c + hy + 1, c : c + hx + 1]
+    assert got.pixels.tobytes() == _even_blur(sample, quadrant).pixels.tobytes()
+    assert got.pixels.tobytes() == widefield_blur(sample, psf, "fft").pixels.tobytes()
+    direct = widefield_blur(sample, psf, "direct").pixels
+    exact = compensated_blur(sample.pixels, psf.pixels)
+    ulp = np.spacing(np.max(np.abs(exact)))
+    assert np.max(np.abs(got.pixels - exact)) <= 8 * ulp
+    assert np.max(np.abs(got.pixels - direct)) <= np.max(np.abs(direct - exact)) + 8 * ulp
+
+
+@pytest.mark.parametrize("shape", BLUR_SHAPES[:4], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_asymmetric_psf_blur_takes_the_complex_transfer(shape):
+    # a Gaussian spot rolled by 1 px is even in neither axis
+    rng = np.random.default_rng(25)
+    psf = Image(np.roll(make_spot(Gaussian(3.0), 21).pixels, 1, axis=(0, 1)), 1.0)
+    sample = Image(rng.random(shape), 1.0)
+    got = widefield_blur(sample, psf).pixels
+    h = min(10, max(shape) - 1)
+    window = psf.pixels[10 - h : 11 + h, 10 - h : 11 + h]
+    assert got.tobytes() == _scan_field(sample.pixels, window[::-1, ::-1], 0, 0.0,
+                                        "fft").tobytes()
+    direct = widefield_blur(sample, psf, "direct").pixels
+    exact = compensated_blur(sample.pixels, psf.pixels)
+    ulp = np.spacing(np.max(np.abs(exact)))
+    assert np.max(np.abs(got - exact)) <= 8 * ulp
+    assert np.max(np.abs(got - direct)) <= np.max(np.abs(direct - exact)) + 8 * ulp
 
 
 def test_widefield_rejects_bad_psf():
