@@ -14,23 +14,15 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from . import scanner
 from .deconv import InverseFilter, LeastSquaresCG, RichardsonLucy, Wiener, recover
 from .grid import (FormatError, Image, Rect, _integer, _positive, crop, export_pgm, load_ddsf,
                    save_ddsf)
 from .metrics import CSV_HEADER, compare, two_point_contrast
 from .patterns import BarGrid, PointPair, RandomBlobs, SiemensStar, generate
-from .psf import AiryCore, Disk, Gaussian, SpotImage, _microscope_quadrant, make_spot
-from .scanner import (
-    SCAN_METHODS,
-    Background,
-    ConstantBackground,
-    ScanConfig,
-    ZeroBackground,
-    _even_blur,
-    add_noise,
-    simulate_scan,
-    widefield_blur,
-)
+from .psf import AiryCore, Disk, Gaussian, SpotImage, make_spot
+from .scanner import (SCAN_METHODS, Background, ConstantBackground, ScanConfig, ZeroBackground,
+                      add_noise, simulate_scan, widefield_blur)
 
 
 class ConfigError(ValueError):
@@ -137,8 +129,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     :func:`run_pipeline` builds them.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -260,10 +252,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
 
         result = recover(intermediate, spot, roi, cfg.extension, request, cfg.background)
 
-        # the baseline last: only the PSF quadrant that its blur reads, normalized over the
-        # full side
-        conventional = _even_blur(expected, _microscope_quadrant(
-            cfg.microscope_radius, cfg.microscope_side, expected.pixels.shape))
+        # the baseline last
+        conventional = scanner._airy_baseline(expected, cfg.microscope_radius,
+                                              cfg.microscope_side)
 
         window = Rect(cfg.extension, cfg.extension, cfg.roi_width, cfg.roi_height)
         reports = {
@@ -300,7 +291,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
 
 def _check_output(path: Path, directory: bool) -> None:
     """Raise now, creating nothing, the OSError that writing the file ``path`` (or making
-    the directory ``path``) would raise: a directory on its way is missing or a file."""
+    the directory ``path``) would raise: a directory on its way is missing or a file, or
+    the file ``path`` is a directory."""
+    if not directory and path.is_dir():
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     probe = path if directory else path.parent
     while directory and not probe.exists() and probe != probe.parent:
         probe = probe.parent  # mkdir(parents=True) makes it
@@ -352,7 +346,7 @@ def _cmd_blur(args: argparse.Namespace) -> Image:
     if side is None:
         _positive("first_zero_radius", radius)  # before ceil() sees it
         side = 2 * math.ceil(radius) + 1
-    return _even_blur(sample, _microscope_quadrant(radius, side, sample.pixels.shape))
+    return scanner._airy_baseline(sample, radius, side)
 
 
 def _cmd_noise(args: argparse.Namespace) -> Image:

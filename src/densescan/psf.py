@@ -16,9 +16,9 @@ elementwise function of its radius, so the blocks change no bit. The
 Airy profiles' J1 series stops at 16 of 40 terms when no argument in a
 block exceeds 3.5, also changing no bit. The builders freeze their
 result, and :class:`~densescan.grid.Image` adopts it without a copy.
-:func:`_microscope_quadrant` builds every generated wide-field baseline's
-PSF as that quadrant alone; ``scanner`` blurs with it as it is, never
-unfolded.
+:func:`_microscope_quadrant` builds the generated wide-field baseline's
+PSF as that quadrant alone, which ``scanner._airy_baseline`` blurs with
+as it is.
 """
 
 from __future__ import annotations

@@ -15,33 +15,36 @@ sample can be nonzero, N + 2 * pad per axis. It computes them on a
 circular grid of the next 5-smooth (fast FFT) length >= N + pad +
 spot_side // 2 per axis, the shortest on which no kept site reads a
 wrapped sample (overlap-save), so the circular product is exact there:
-N + spot_side - 1 when extension >= spot_side // 2. It writes those
-sites into a zero lattice of N + 2 * extension per axis, so any border
-beyond them is exactly zero; a step-1 scan hands that lattice to
-:class:`~densescan.grid.Image` frozen, without a further copy. The
+N + spot_side - 1 when extension >= spot_side // 2. ``forward`` writes
+those sites into a fresh zero lattice of N + 2 * extension per axis,
+which a step-1 scan hands to :class:`~densescan.grid.Image` frozen. The
 transforms run in place: each call fills one spectrum of the grid (a row
 rFFT, then the column FFT over it), multiplies or divides it in place and
 transforms it back in place, bitwise equal to ``rfft2`` and ``irfft2``;
 the inverse writes the rows it keeps, in blocks of about ``_BLOCK``
-values, straight into the caller's array (the lattice, or a fresh
-window or sample). The transfer places the kernel by slice copies and
-row-transforms only the spot's rows (101 of 400 in the default scan).
-The spectral solvers divide by its transfer in
-:meth:`~ScanOperator.deconvolve`, which alone holds their rule: exact
-only when extension >= spot_side // 2, it raises below that.
+values, straight into the call's output. The spectral solvers divide by
+the transfer in :meth:`~ScanOperator.deconvolve`, which alone holds
+their rule: exact only when extension >= spot_side // 2, it raises below.
+
+One allocation rule: an array that outlives the call (``forward``'s
+lattice, ``deconvolve``'s sample, ``_even_blur``'s output) is allocated
+before the transform's temporaries, so they sit above it in the heap,
+whose top can be trimmed; a window or sample made once per solver
+iteration (``forward_window``, ``transpose``) is allocated after them.
 
 The wide-field blur is a same-size convolution with no extension; only
 the taps within N - 1 px of the centre per axis can meet an N-px sample
-(``psf._blur_halves``), and a generated PSF is built no wider. A PSF
-whose window is even in both axes (equal to both its flips, as every
-generated Airy PSF is) has a real, even transfer, so :func:`_even_blur`
-builds it from the window's quadrant alone with two real rFFTs
-(:func:`_even_transfer`) on the next 5-smooth length >= N + h per axis,
-and scales the sample's spectrum by it; it differs from the complex
-route by a few ulps. Any other PSF takes the operator above, with the
-flipped square window. Of the ``SCAN_METHODS``, ``auto`` and ``fft`` run
-the transforms; ``direct``, the bit-reproducible reference, sums taps in
-a fixed order at kept sites, for a blur on the flipped square window.
+(``psf._blur_halves``). A PSF whose window is even in both axes (equal
+to both its flips, as every Airy PSF is) has a real, even transfer, so
+:func:`_even_blur` builds it from the window's quadrant alone with two
+real rFFTs (:func:`_even_transfer`) on the next 5-smooth length >= N + h
+per axis; it differs from the complex route by a few ulps. The generated
+baseline, :func:`_airy_baseline`, blurs with the quadrant that
+``psf._microscope_quadrant`` builds. Any other PSF takes the operator
+above, with the flipped square window. Of the ``SCAN_METHODS``, ``auto``
+and ``fft`` run the transforms; ``direct``, the bit-reproducible
+reference, sums taps in a fixed order at kept sites, for a blur on the
+flipped square window.
 
 Lattice convention: sites per axis are c_i = -extension + (step-1)//2 +
 i*step for i in range(floor((N + 2*extension)/step)); footprints are
@@ -56,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Image, _integer, _nonnegative, _odd
-from .psf import SpotImage, _blur_halves
+from .psf import SpotImage, _blur_halves, _microscope_quadrant
 
 # float64 per row block of _inverse's irfft: a block stays in a core's L2 cache
 _BLOCK = 2**15
@@ -199,16 +202,13 @@ class ScanOperator:
         # site 0 at grid index 0, so no call shifts an input or output.
         self.transfer = _transfer(spot, self.grid, self._offset)
 
-    def forward(self, x: np.ndarray, level: float = 0.0,
-                out: np.ndarray | None = None) -> np.ndarray:
-        """Scan field of ``x`` with the sample extended by ``level``, written into
-        ``out`` (a zero ``lattice``) when it is given."""
+    def forward(self, x: np.ndarray, level: float = 0.0) -> np.ndarray:
+        """Scan field of ``x`` on a fresh ``lattice``, the sample extended by ``level``."""
         # Over a constant periphery the scan is the zero-background scan
         # of x - level plus level times the spot's total weight.
+        out = np.zeros(self.lattice)
         spec = self.spectrum(x - level if level else x)
         spec *= self.transfer
-        if out is None:
-            out = np.zeros(self.lattice)
         _inverse(spec, self.grid, out[self.sites])
         if level:
             out += level * float(self.spot.sum())
@@ -257,7 +257,7 @@ class ScanOperator:
         if self._offset:  # the window crops the correlation: no division recovers x
             raise ValueError(f"spectral methods need extension >= {self.spot.shape[0] // 2} "
                              f"(half the spot side), got {self.extension}")
-        out = np.empty(self.shape)  # below the spectrum in the heap, as in _even_blur
+        out = np.empty(self.shape)
         spec = divide(self.transfer, self.spectrum(y[self.sites]))
         return _inverse(spec, self.grid, out)
 
@@ -279,9 +279,6 @@ def _even_blur(sample: Image, quadrant: np.ndarray) -> Image:
     """:func:`widefield_blur` of ``sample`` with a PSF that is even in both axes, given as
     its quadrant ``[c:, c:]`` cropped per axis to at most N px (``psf._blur_halves``)."""
     grid = tuple(_fast_len(n + q - 1) for n, q in zip(sample.pixels.shape, quadrant.shape))
-    # The output outlives the call, so it is allocated below the temporaries in the heap,
-    # whose top glibc can then trim: 53.6-53.8 against 57.2-58.4 MB peak RSS
-    # (pipeline_default, 2-vCPU VM, with the same order in deconvolve).
     out = np.empty(sample.pixels.shape)
     transfer = _even_transfer(quadrant, grid)
     spec = _spectrum(sample.pixels, grid)
@@ -294,6 +291,12 @@ def _even_blur(sample: Image, quadrant: np.ndarray) -> Image:
     return Image(out, sample.pitch)
 
 
+def _airy_baseline(sample: Image, first_zero_radius: float, side: int) -> Image:
+    """The generated baseline: :func:`widefield_blur` of ``sample`` with the PSF
+    ``make_microscope_psf(first_zero_radius, side)``, from the quadrant that it reads."""
+    return _even_blur(sample, _microscope_quadrant(first_zero_radius, side, sample.pixels.shape))
+
+
 SCAN_METHODS = ("auto", "fft", "direct")
 
 
@@ -302,17 +305,11 @@ def _scan_field(sample: np.ndarray, kernel: np.ndarray, extension: int,
     """Correlation of the level-extended sample with ``kernel`` at every
     ``step``-th lattice site."""
     if method in ("fft", "auto"):
-        op = ScanOperator(kernel, sample.shape, extension)
-        if step == 1:
-            # Image adopts this lattice without a copy. Allocated before the FFT temporaries
-            # rather than above them in the heap, it reads 3.5 MB less peak RSS
-            # (pipeline_default, 2-vCPU VM).
-            dense = op.forward(sample, level, np.zeros(op.lattice))
-            dense.setflags(write=False)
-            return dense
-        dense = op.forward(sample, level)
+        dense = ScanOperator(kernel, sample.shape, extension).forward(sample, level)
+        dense.setflags(write=False)  # fresh and owned: at step 1 Image adopts it without a copy
         off = (step - 1) // 2
-        return dense[off::step, off::step][: dense.shape[0] // step, : dense.shape[1] // step]
+        rows, cols = (n // step for n in dense.shape)
+        return dense if step == 1 else dense[off::step, off::step][:rows, :cols]
     if method == "direct":
         pad = extension + kernel.shape[0] // 2
         return _corr_valid_direct(np.pad(sample, pad, constant_values=level), kernel, step)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 from dataclasses import fields, replace
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from densescan import cli
+from densescan import cli, scanner
 from densescan.cli import (
     ConfigError,
     PipelineConfig,
@@ -307,6 +308,17 @@ def test_config_requires_dense_step(tmp_path):
     path.write_text("step = 2\n")
     with pytest.raises(ConfigError, match="step"):
         load_config(path)
+
+
+def test_config_not_utf8_is_a_read_error(tmp_path, capsys):
+    path = tmp_path / "bin.cfg"
+    path.write_bytes(b"\xff\xfe")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"densescan: config error: cannot read config {path}: 'utf-8' codec can't decode "
+        "byte 0xff in position 0: invalid start byte\n")
+    assert not out.exists()
 
 
 def test_config_text_roundtrip(tmp_path):
@@ -626,6 +638,15 @@ CLI_SURFACE = {
 }
 
 
+def test_cli_imports_no_private_psf_or_scanner_name():
+    # the generated baseline is scanner's one call; cli knows no route of its own
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module in ("psf", "scanner")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 def test_cli_surface_is_pinned():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -845,7 +866,7 @@ def test_bad_noise_sweep_fails_before_the_microscope_psf(tmp_path, monkeypatch, 
         calls.append(args)
         return _microscope_quadrant(*args)
 
-    monkeypatch.setattr(cli, "_microscope_quadrant", counting_microscope_window)
+    monkeypatch.setattr(scanner, "_microscope_quadrant", counting_microscope_window)
     cfg = replace(load_config(write_small_config(tmp_path)), noise_sweep=(sigma,))
     out = tmp_path / "run"
     with pytest.raises(ConfigError, match="^noise_sweep: sigma must be finite and >= 0"):
@@ -862,7 +883,7 @@ def test_bad_solve_fails_before_the_microscope_psf(tmp_path, monkeypatch):
         calls.append(args)
         return _microscope_quadrant(*args)
 
-    monkeypatch.setattr(cli, "_microscope_quadrant", counting_microscope_window)
+    monkeypatch.setattr(scanner, "_microscope_quadrant", counting_microscope_window)
     cfg = replace(load_config(write_small_config(tmp_path)),
                   spot_side=15, extension=6, method="inverse")
     out = tmp_path / "run"
@@ -948,6 +969,24 @@ def test_deconv_unwritable_output_fails_before_the_solve(tmp_path, monkeypatch, 
     assert calls == []
     assert captured.out == ""
     assert captured.err == f"densescan: {message}: {str(out)!r}\n"
+
+
+@pytest.mark.parametrize("command", ["deconv", "gen-sample"])
+def test_output_that_is_a_directory_fails_before_the_work(tmp_path, capsys, command):
+    inter, spot = tmp_path / "inter.ddsf", tmp_path / "spot.ddsf"
+    save_ddsf(new_image(20, 20, 1.0, 1.0), inter)
+    save_ddsf(make_spot(Gaussian(1.0), 5).image, spot)
+    out = tmp_path / "outdir"
+    out.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    args = {"deconv": ["--intermediate", str(inter), "--spot", str(spot), "--extension", "4",
+                       "--method", "cgls", "--max-iters", "5"],
+            "gen-sample": ["--pattern", "bar-grid", "--size", "8"]}[command]
+    assert main([command, *args, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"densescan: [Errno 21] Is a directory: {str(out)!r}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("where, message", [
