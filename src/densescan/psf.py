@@ -281,7 +281,7 @@ def _microscope_quadrant(first_zero_radius: float, side: int,
     rows, cols = (h + 1 for h in _blur_halves(side, shape))
     half = max(rows, cols) - 1
     try:  # v_max is inf for a tiny R; a side or a sum beyond float range overflows
-        v_max = AIRY_FIRST_ZERO * c * math.sqrt(2.0) / first_zero_radius
+        v_max = AIRY_FIRST_ZERO * math.sqrt(2.0) * (c / first_zero_radius)
         closed = half < c and v_max <= _SERIES_CUTOFF
         total = _airy_square_sum(first_zero_radius, side) if closed else None
     except OverflowError:
@@ -311,7 +311,7 @@ def _airy_square_sum(first_zero_radius: float, side: int) -> float:
     p, q = AIRY_FIRST_ZERO.as_integer_ratio()
     a, b = float(first_zero_radius).as_integer_ratio()
     beta_num, beta_den = (p * b) ** 2, 4 * (q * a) ** 2
-    v_max2 = 2.0 * (AIRY_FIRST_ZERO * c / first_zero_radius) ** 2
+    v_max2 = 2.0 * (AIRY_FIRST_ZERO * (c / first_zero_radius)) ** 2
     power_sums, rise = [c], c + 1  # P_0, then (c+1)^(m+1) for the last m
     sums = [side]  # S_0 counts d = 0 too
     acc, den = 2 * side * side, 2  # term 0: b_0 = 1, Q_0 = side^2

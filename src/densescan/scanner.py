@@ -203,15 +203,22 @@ class ScanOperator:
         self.transfer = _transfer(spot, self.grid, self._offset)
 
     def forward(self, x: np.ndarray, level: float = 0.0) -> np.ndarray:
-        """Scan field of ``x`` on a fresh ``lattice``, the sample extended by ``level``."""
+        """Scan field of ``x`` on a fresh ``lattice``, the sample extended by ``level``;
+        a level that overflows the transforms raises ValueError."""
         # Over a constant periphery the scan is the zero-background scan
         # of x - level plus level times the spot's total weight.
         out = np.zeros(self.lattice)
-        spec = self.spectrum(x - level if level else x)
-        spec *= self.transfer
-        _inverse(spec, self.grid, out[self.sites])
-        if level:
-            out += level * float(self.spot.sum())
+        # a huge level overflows the transforms; the check below reports it under its
+        # name (None keeps the caller's error state)
+        ignore = "ignore" if level else None
+        with np.errstate(over=ignore, invalid=ignore):
+            spec = self.spectrum(x - level if level else x)
+            spec *= self.transfer
+            _inverse(spec, self.grid, out[self.sites])
+            if level:
+                out += level * float(self.spot.sum())
+        if level and not np.isfinite(out).all():
+            raise ValueError(f"background level must keep the scan finite, got {level}")
         return out
 
     def forward_window(self, x: np.ndarray) -> np.ndarray:

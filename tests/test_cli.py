@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -173,6 +174,27 @@ def test_scan_invalid_step_exits_2(tmp_path, capsys):
     rc = main(["scan", "--sample", str(sample), "--spot", str(spot),
                "--step", "0", "-o", str(tmp_path / "o.ddsf")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["scan", "deconv", "pipeline"])
+def test_huge_constant_background_exits_2_naming_it(tmp_path, capsys, command):
+    # the fft route scans x - level, whose transforms overflow at this level
+    sample, spot, out = tmp_path / "s.ddsf", tmp_path / "k.ddsf", tmp_path / "out"
+    save_ddsf(new_image(32, 32, 1.0, 0.5), sample)
+    save_ddsf(make_spot(Gaussian(1.5), 7).image, spot)
+    level = ["--background", "constant:1e308"]
+    argv = {
+        "scan": ["scan", "--sample", str(sample), "--spot", str(spot), "--extension", "6", *level],
+        "deconv": ["deconv", "--intermediate", str(sample), "--spot", str(spot),
+                   "--extension", "6", "--method", "inverse", *level],
+        "pipeline": ["pipeline", "--config",
+                     str(write_small_config(tmp_path, "background = constant:1e308\n"))],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "-o", str(out)]) == 2
+    assert "background level must keep the scan finite, got 1e+308" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_noise_cli_deterministic(tmp_path):
@@ -786,8 +808,12 @@ def test_default_blur_and_recovery_peak_memory():
 
 # a 64 px run's 64^2 quadrant of a 201^2 PSF (v_max 27, cropped from the full PSF), and
 # the default run's 300^2 quadrant of the 2001^2 PSF (normalized by the closed-form sum)
-@pytest.mark.parametrize("extra", ["microscope_radius = 20\nmicroscope_side = 201\n", None],
-                         ids=["small-201", "default"])
+@pytest.mark.parametrize("extra", [
+    "microscope_radius = 20\nmicroscope_side = 201\n",
+    # a 64 x 40 run: the 40 x 64 quadrant of a 201^2 PSF (v_max 9.0, the closed sum)
+    "roi_height = 40\nmicroscope_radius = 60.0\nmicroscope_side = 201\n",
+    None,
+], ids=["small-201", "small-64x40", "default"])
 def test_blur_airy_radius_writes_the_pipeline_baseline(tmp_path, extra):
     # blur --airy-radius builds the PSF quadrant the pipeline builds, so it writes the
     # pipeline's conventional image byte for byte
@@ -829,7 +855,8 @@ def test_blur_airy_radius_with_a_huge_side(tmp_path):
 @pytest.mark.parametrize("args", [
     ["--airy-radius", "1e155"], ["--airy-radius", "1e200"],  # the side's sum overflows
     ["--airy-radius", "5", "--psf-side", "1" * 401],  # the side itself overflows a float
-], ids=["radius-1e155", "radius-1e200", "side-401-digits"])
+    ["--airy-radius", "1e308"],  # v_max is 5.4, but the side's sum overflows
+], ids=["radius-1e155", "radius-1e200", "side-401-digits", "radius-1e308"])
 def test_blur_rejects_a_psf_whose_sum_overflows(tmp_path, capsys, args):
     import time
 

@@ -581,4 +581,5 @@ def test_iterative_methods_accept_small_extension(rng):
     inter = forward(sample, spot, 1)  # cropped correlation
     roi = Rect(0, 0, 24, 24)
     res = recover(inter, spot, roi, 1, LeastSquaresCG(1e-10, 400))
+    assert res.iterations_used < 400  # converged, not stopped at the cap
     assert np.mean(np.abs(res.recovered.pixels - sample.pixels)) < 1e-6

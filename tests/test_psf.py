@@ -25,6 +25,7 @@ from densescan.psf import (
 )
 
 from conftest import NOT_INTEGERS
+from test_routes import check_quadrant, v_max
 
 # Values frozen from the power-series oracle
 #   J1(x) = sum_m (-1)^m (x/2)^(2m+1) / (m! (m+1)!)
@@ -375,7 +376,8 @@ def test_default_psf_peak_memory_is_near_its_output():
 # _microscope_quadrant gives the quadrant [c:, c:] of the central 2 h + 1 window of the
 # microscope PSF that a blur of an (N_0, N_1) sample reads, h = min(c, N - 1) per axis:
 # evaluated alone and normalized by the closed-form sum of the full side, or cropped from
-# make_microscope_psf.
+# make_microscope_psf. The tests that call check_quadrant are hand-picked rows of the route
+# sweep (test_routes.py), which also blurs with the quadrant where it is the PSF's.
 
 def central_quadrant(image, shape):
     c = image.width // 2
@@ -387,10 +389,7 @@ def central_quadrant(image, shape):
     (2.0, 1, 0), (2.0, 1, 5), (3.0, 61, 30), (3.0, 61, 100), (20.0, 401, 200),
 ])
 def test_microscope_window_is_the_psf_when_it_covers_the_side(radius, side, half):
-    quadrant = _microscope_quadrant(radius, side, (half + 1, half + 1))
-    psf = make_microscope_psf(radius, side, 0.1).pixels
-    assert not quadrant.flags.writeable
-    assert np.array_equal(quadrant, psf[side // 2 :, side // 2 :])
+    assert check_quadrant(np.random.default_rng(0), radius, side, (half + 1, half + 1))
 
 
 @pytest.mark.parametrize("radius, side, half", [
@@ -402,11 +401,7 @@ def test_microscope_window_is_the_psf_when_it_covers_the_side(radius, side, half
     (2000.0, 2001, 299),  # the default pipeline's window: 1001 rows in blocks of 32
 ])
 def test_microscope_window_is_the_central_window(radius, side, half):
-    shape = (half + 1, half + 1)
-    quadrant = _microscope_quadrant(radius, side, shape)
-    want = central_quadrant(make_microscope_psf(radius, side, 0.1), shape)
-    assert quadrant.shape == want.shape == (half + 1, half + 1)
-    assert np.all(np.abs(quadrant - want) <= 1e-14 * want)
+    check_quadrant(np.random.default_rng(0), radius, side, (half + 1, half + 1))
 
 
 @pytest.mark.parametrize("radius, side, shape", [
@@ -418,18 +413,11 @@ def test_microscope_window_is_the_central_window(radius, side, half):
 ])
 def test_microscope_quadrant_is_the_psf_quadrant_bitwise(radius, side, shape):
     # cropped per axis, so a sample thinner than the window's half reads fewer rows
-    quadrant = _microscope_quadrant(radius, side, shape)
-    want = central_quadrant(make_microscope_psf(radius, side), shape)
-    assert quadrant.shape == tuple(min(side // 2, n - 1) + 1 for n in shape)
-    assert np.array_equal(quadrant, want)
+    assert check_quadrant(np.random.default_rng(0), radius, side, shape)
 
 
 # Below v_max = _SERIES_CUTOFF the side's sum is _airy_square_sum, the series of
 # (2 J1(v)/v)^2 summed over the square in integers; above it, the PSF is cropped.
-
-def v_max(radius, side):
-    return AIRY_FIRST_ZERO * (side // 2) * math.sqrt(2.0) / radius  # inf for a tiny radius
-
 
 @pytest.mark.parametrize("radius, side", [
     (2000.0, 2001),  # the default: v_max 2.7
@@ -503,13 +491,11 @@ def test_microscope_window_sums_in_closed_form_only_where_it_pays(
 
 @pytest.mark.parametrize("radius, side, half", [
     (0.7, 801, 5), (3.0, 61, 10), (3.0, 801, 100), (20.0, 801, 399), (20.0, 2001, 0),
-    (20.0, 201, 63),  # CI's small-201 run: v_max 27
+    (20.0, 201, 63),  # test_cli's small-201 run: v_max 27
 ])
 def test_microscope_window_outside_the_closed_route_is_the_crop(radius, side, half):
     assert v_max(radius, side) > _SERIES_CUTOFF
-    shape = (half + 1, half + 1)
-    quadrant = _microscope_quadrant(radius, side, shape)
-    assert np.array_equal(quadrant, central_quadrant(make_microscope_psf(radius, side), shape))
+    assert check_quadrant(np.random.default_rng(0), radius, side, (half + 1, half + 1))
 
 
 @pytest.mark.parametrize("radius, side, message", [

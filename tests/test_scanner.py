@@ -10,11 +10,8 @@ from densescan.scanner import (
     ScanConfig,
     ScanOperator,
     ZeroBackground,
-    _corr_valid_direct,
-    _even_blur,
     _even_transfer,
     _scan_field,
-    _transfer,
     add_noise,
     scan_dims,
     simulate_scan,
@@ -22,6 +19,7 @@ from densescan.scanner import (
 )
 
 from conftest import NOT_INTEGERS, conv_lattice_oracle, scan_oracle
+from test_routes import check_blur, check_scan, check_transfer, unfolded
 
 
 def random_spot(rng, side):
@@ -211,12 +209,9 @@ def test_usual_equals_subsampled_dense_bit_exact(rng, method, step):
 # pad = min(extension, spot_side // 2) px of the sample (N + 2 * pad per
 # axis, from site extension - pad); the rest is exact zero. They run on the
 # next 5-smooth length >= N + pad + spot_side // 2 per axis, which may be
-# shorter than the spot: its wrapped taps meet no kept site.
-
-def _window(shape, side, ext):
-    pad = min(ext, side // 2)
-    return tuple(slice(ext - pad, ext + pad + n) for n in shape)
-
+# shorter than the spot: its wrapped taps meet no kept site. The tests that
+# call check_scan, check_transfer or check_blur are hand-picked rows of the
+# route sweep (test_routes.py), which asserts every route relation on them.
 
 @pytest.mark.parametrize("shape, side, ext", [
     ((24, 24), 9, 4),  # square; the adjoint keeps 24 of 32 rows
@@ -227,27 +222,8 @@ def _window(shape, side, ext):
     ((120, 700), 9, 4),  # grid 128 x 720: the inverse runs in blocks of 45 rows
 ])
 def test_operator_inverse_equals_full_irfft2_bitwise(shape, side, ext):
-    # the pruned inverse against the full irfft2 of the same spectrum, then the crop
     rng = np.random.default_rng(5)
-    op = ScanOperator(random_spot(rng, side).pixels, shape, ext)
-    rows, cols = shape[0] + 2 * ext, shape[1] + 2 * ext
-    window = _window(shape, side, ext)
-    x = rng.random(shape)
-    spec = np.fft.rfft2(x, op.grid)
-    spec *= op.transfer
-    ref = np.fft.irfft2(spec, op.grid)[: window[0].stop - window[0].start,
-                                       : window[1].stop - window[1].start]
-    out = op.forward(x)
-    assert np.array_equal(out[window], ref)
-    outside = np.ones(out.shape, bool)
-    outside[window] = False
-    assert np.all(out[outside] == 0.0)
-    y = rng.random((rows, cols))
-    spec = np.conj(np.fft.rfft2(y[window], op.grid))
-    spec *= op.transfer
-    np.conjugate(spec, out=spec)
-    ref = np.fft.irfft2(spec, op.grid)[: shape[0], : shape[1]]
-    assert np.array_equal(op.adjoint(y), ref)
+    check_scan(rng, random_spot(rng, side).pixels, shape, ext, 2, 0.0)
 
 
 def test_operator_grid_sizes(monkeypatch):
@@ -285,12 +261,7 @@ def test_operator_grid_sizes(monkeypatch):
 ])
 def test_operator_forward_matches_direct(shape, side, ext):
     rng = np.random.default_rng(2)
-    spot = random_spot(rng, side).pixels
-    x = rng.random(shape)
-    want = _corr_valid_direct(np.pad(x, ext + side // 2), spot)
-    got = ScanOperator(spot, shape, ext).forward(x)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-12
+    check_scan(rng, random_spot(rng, side).pixels, shape, ext, 2, 0.3)
 
 
 @pytest.mark.parametrize("shape, side, ext", [
@@ -322,11 +293,7 @@ def test_operator_adjoint_dot_test(shape, side, ext):
 ])
 def test_transfer_places_the_kernel_as_fancy_indexing_does(side, grid, offset):
     # distinct integer taps: any tap out of place changes the transfer
-    spot = np.arange(1.0, side * side + 1).reshape(side, side)
-    rows, cols = ((np.arange(side) + offset) % n for n in grid)
-    kernel = np.zeros(grid)
-    kernel[np.ix_(rows, cols)] = spot[::-1, ::-1]  # the last write wins on a wrapped index
-    assert _transfer(spot, grid, offset).tobytes() == np.fft.rfft2(kernel).tobytes()
+    check_transfer(np.arange(1.0, side * side + 1).reshape(side, side), grid, offset)
 
 
 @pytest.mark.parametrize("shape, side, ext", [
@@ -336,10 +303,7 @@ def test_transfer_places_the_kernel_as_fancy_indexing_does(side, grid, offset):
 ])
 def test_spectrum_is_rfft2_bitwise(shape, side, ext):
     rng = np.random.default_rng(8)
-    op = ScanOperator(random_spot(rng, side).pixels, shape, ext)
-    y = rng.standard_normal(op.lattice)
-    for field in (rng.standard_normal(shape), y[op.sites]):
-        assert op.spectrum(field).tobytes() == np.fft.rfft2(field, op.grid).tobytes()
+    check_scan(rng, random_spot(rng, side).pixels, shape, ext, 1, 0.0)
 
 
 def test_spectrum_and_transpose_leave_their_input_unchanged():
@@ -361,13 +325,7 @@ def test_spectrum_and_transpose_leave_their_input_unchanged():
 ])
 def test_forward_into_a_given_zero_lattice(shape, side, ext):
     rng = np.random.default_rng(6)
-    op = ScanOperator(random_spot(rng, side).pixels, shape, ext)
-    x = rng.random(shape)
-    for level in (0.0, 0.25):
-        want = np.zeros(op.lattice)
-        want[op.sites] = op.forward_window(x - level if level else x)
-        want += level * float(op.spot.sum())
-        assert np.array_equal(op.forward(x, level), want)
+    check_scan(rng, random_spot(rng, side).pixels, shape, ext, 3, 0.25)
 
 
 @pytest.mark.parametrize("ext, step", [(14, 1), (3, 1), (0, 1), (14, 15)])
@@ -382,20 +340,14 @@ def test_step_1_fft_field_is_adopted_without_a_copy(ext, step):
                          ids=["zero", "constant"])
 def test_default_scan_is_the_fft_operator(step, background):
     # the cli_stages benchmark geometry: a 64 px sample, a 15 px spot, extension 14
-    sample = Image(np.random.default_rng(17).random((64, 64)), 0.1)
-    spot = make_spot(Gaussian(2.5), 15, 0.1)
-    config = ScanConfig(step, 14, background)
-    default = simulate_scan(sample, spot, config)
-    assert np.array_equal(default.pixels, simulate_scan(sample, spot, config, "fft").pixels)
-    assert default.pitch == sample.pitch * step
+    spot = make_spot(Gaussian(2.5), 15).pixels
+    check_scan(np.random.default_rng(17), spot, (64, 64), 14, step, background.level)
 
 
 @pytest.mark.parametrize("psf", [make_microscope_psf(5.0, 11), Image(np.ones((1, 1)), 1.0)],
                          ids=["airy-11", "identity"])
 def test_default_blur_is_the_fft_operator(psf):
-    sample = Image(np.random.default_rng(18).random((64, 64)), 1.0)
-    default = widefield_blur(sample, psf).pixels
-    assert np.array_equal(default, widefield_blur(sample, psf, "fft").pixels)
+    assert check_blur(psf.pixels, np.random.default_rng(18).random((64, 64)))
 
 
 # --- widefield blur ------------------------------------------------------------
@@ -444,16 +396,9 @@ def test_widefield_heavy_blur_variance_reduction():
     ((30, 31), 81),  # 61 taps, grid 60 x 64
 ])
 def test_widefield_crop_equals_uncropped_blur(shape, side):
-    rng = np.random.default_rng(11)
-    sample = Image(rng.random(shape), 1.0)
-    psf = make_microscope_psf(3.0, side)
     assert max(shape) - 1 < side // 2  # the PSF is cropped
-    kernel = psf.pixels[::-1, ::-1]
-    direct = widefield_blur(sample, psf, "direct").pixels
-    assert np.array_equal(direct, _scan_field(sample.pixels, kernel, 0, 0.0, "direct"))
-    fft = widefield_blur(sample, psf, "fft").pixels
-    ref = _scan_field(sample.pixels, kernel, 0, 0.0, "fft")
-    assert np.max(np.abs(fft - ref)) <= 1e-15
+    psf = make_microscope_psf(3.0, side).pixels
+    assert check_blur(psf, np.random.default_rng(11).random(shape))
 
 
 def test_default_blur_matches_dot_products():
@@ -475,36 +420,6 @@ def test_default_blur_matches_dot_products():
         assert abs(blurred[i, j] - want) <= 1e-16
 
 
-# A window even in both axes is blurred from its quadrant through a real transfer; any
-# other PSF, and method "direct", keep the scan operator's complex one. The reference sums
-# every tap with Neumaier compensation, within about an ulp of the exact convolution; the
-# direct path's plain running sum is itself tens of ulps off for a 61^2 window.
-
-def unfolded(quadrant):
-    c = quadrant.shape[0] - 1
-    full = np.empty((2 * c + 1, 2 * c + 1))
-    full[c:, c:] = quadrant
-    full[c:, :c] = quadrant[:, :0:-1]
-    full[:c] = full[:c:-1]
-    return full
-
-
-def compensated_blur(x, psf):
-    h, w = x.shape
-    c = min(psf.shape[0] // 2, max(h, w) - 1)
-    mid = psf.shape[0] // 2
-    flipped = psf[mid - c : mid + c + 1, mid - c : mid + c + 1][::-1, ::-1]
-    padded = np.pad(x, c)
-    total, comp = np.zeros((h, w)), np.zeros((h, w))
-    for u in range(2 * c + 1):
-        for v in range(2 * c + 1):
-            term = flipped[u, v] * padded[u : u + h, v : v + w]
-            t = total + term
-            comp += np.where(np.abs(total) >= np.abs(term), (total - t) + term, (term - t) + total)
-            total = t
-    return total + comp
-
-
 BLUR_SHAPES = [(40, 40), (17, 33), (33, 17), (3, 40), (40, 1), (1, 1)]  # 3 rows < 61 // 2
 
 
@@ -513,37 +428,14 @@ BLUR_SHAPES = [(40, 40), (17, 33), (33, 17), (3, 40), (40, 1), (1, 1)]  # 3 rows
 def test_even_psf_blur_matches_direct(side, shape):
     rng = np.random.default_rng([side, *shape])
     psf = unfolded(rng.random((side // 2 + 1, side // 2 + 1)))
-    psf = Image(psf / psf.sum(), 1.0)
-    sample = Image(rng.random(shape), 1.0)
-    got = widefield_blur(sample, psf)
-    # the even route: the quadrant of the window, cropped per axis
-    c, (hy, hx) = side // 2, (min(side // 2, n - 1) for n in shape)
-    quadrant = psf.pixels[c : c + hy + 1, c : c + hx + 1]
-    assert got.pixels.tobytes() == _even_blur(sample, quadrant).pixels.tobytes()
-    assert got.pixels.tobytes() == widefield_blur(sample, psf, "fft").pixels.tobytes()
-    direct = widefield_blur(sample, psf, "direct").pixels
-    exact = compensated_blur(sample.pixels, psf.pixels)
-    ulp = np.spacing(np.max(np.abs(exact)))
-    assert np.max(np.abs(got.pixels - exact)) <= 8 * ulp
-    assert np.max(np.abs(got.pixels - direct)) <= np.max(np.abs(direct - exact)) + 8 * ulp
+    assert check_blur(psf / psf.sum(), rng.random(shape))
 
 
 @pytest.mark.parametrize("shape", BLUR_SHAPES[:4], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_asymmetric_psf_blur_takes_the_complex_transfer(shape):
     # a Gaussian spot rolled by 1 px is even in neither axis
-    rng = np.random.default_rng(25)
-    psf = Image(np.roll(make_spot(Gaussian(3.0), 21).pixels, 1, axis=(0, 1)), 1.0)
-    sample = Image(rng.random(shape), 1.0)
-    got = widefield_blur(sample, psf).pixels
-    h = min(10, max(shape) - 1)
-    window = psf.pixels[10 - h : 11 + h, 10 - h : 11 + h]
-    assert got.tobytes() == _scan_field(sample.pixels, window[::-1, ::-1], 0, 0.0,
-                                        "fft").tobytes()
-    direct = widefield_blur(sample, psf, "direct").pixels
-    exact = compensated_blur(sample.pixels, psf.pixels)
-    ulp = np.spacing(np.max(np.abs(exact)))
-    assert np.max(np.abs(got - exact)) <= 8 * ulp
-    assert np.max(np.abs(got - direct)) <= np.max(np.abs(direct - exact)) + 8 * ulp
+    psf = np.roll(make_spot(Gaussian(3.0), 21).pixels, 1, axis=(0, 1))
+    assert not check_blur(psf, np.random.default_rng(25).random(shape))
 
 
 def test_widefield_rejects_bad_psf():
