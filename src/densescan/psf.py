@@ -272,9 +272,9 @@ def _microscope_quadrant(first_zero_radius: float, side: int,
     even in both axes, so the quadrant is all of it that the blur needs. While the halves
     are smaller than c = side // 2 and every radius of the side takes J1's power series
     (v_max = AIRY_FIRST_ZERO * c * sqrt(2) / R <= ``_SERIES_CUTOFF``), only the quadrant
-    is evaluated, normalized by :func:`_airy_square_sum` (within 1e-14 relative of the
-    PSF's; above the cutoff the asymptotic J1 puts the evaluated sum 5e-14 off the exact
-    one); otherwise it is the PSF's quadrant, bit for bit. Frozen."""
+    is evaluated, normalized by :func:`_airy_square_sum` (within 1e-13 relative of the
+    PSF's, 1e-14 from 21 px on; above the cutoff the asymptotic J1 puts the evaluated sum
+    5e-14 off the exact one); otherwise it is the PSF's quadrant, bit for bit. Frozen."""
     side = _odd("psf side", side)
     _positive("first_zero_radius", first_zero_radius)
     c = side // 2

@@ -19,12 +19,7 @@ from densescan.scanner import (
 )
 
 from conftest import NOT_INTEGERS, conv_lattice_oracle, scan_oracle
-from test_routes import check_blur, check_scan, check_transfer, unfolded
-
-
-def random_spot(rng, side):
-    vals = rng.random((side, side)) + 1e-3
-    return Image(vals / vals.sum(), 1.0)
+from test_routes import check_blur, check_scan, check_transfer, random_spot, unfolded
 
 
 def as_spot(image):
