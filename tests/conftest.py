@@ -1,9 +1,13 @@
-"""Shared independent oracles for the scan forward model."""
+"""Shared independent oracles for the scan forward model, and shared test helpers."""
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from densescan import cli
 
 # Values every integer parameter rejects, besides minimum - 1.
 NOT_INTEGERS = (math.inf, -math.inf, math.nan, 2.5)
@@ -61,6 +65,41 @@ def conv_lattice_oracle(sample, spot, extension):
         out[d : d + full.shape[0], d : d + full.shape[1]] = full
         return out
     return full[-d : -d + mh, -d : -d + mw]
+
+
+def peak_mib(call):
+    """Tracemalloc's peak, in MiB, while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def spy(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call passes through; return its calls' positional
+    arguments, one tuple per call, in order."""
+    calls = []
+    real = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def rejected(capsys, argv, code=2):
+    """Run ``cli.main(argv)`` and assert that it exits ``code``, prints nothing to stdout
+    and creates no ``-o`` path; return its stderr."""
+    out = Path(argv[argv.index("-o") + 1])
+    assert cli.main(argv) == code
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
 
 
 @pytest.fixture

@@ -29,6 +29,8 @@ from densescan.psf import (AiryCore, Gaussian, SpotImage, _microscope_quadrant,
 from densescan.scanner import (ConstantBackground, ScanConfig, _even_blur, simulate_scan,
                                widefield_blur)
 
+from conftest import peak_mib, rejected, spy
+
 SMALL_CONFIG = """
 # compact harness instance for fast end-to-end checks
 roi_width = 64
@@ -109,11 +111,8 @@ def test_gen_spot_disk_and_airy(tmp_path):
 
 
 def test_gen_spot_rejects_a_sigma_whose_variance_underflows(tmp_path, capsys):
-    out = tmp_path / "spot.ddsf"
-    assert main(["gen-spot", "--profile", "gaussian", "--side", "9", "--sigma", "1e-320",
-                 "-o", str(out)]) == 2
-    assert "sigma" in capsys.readouterr().err
-    assert not out.exists()
+    assert "sigma" in rejected(capsys, ["gen-spot", "--profile", "gaussian", "--side", "9",
+                                        "--sigma", "1e-320", "-o", str(tmp_path / "spot.ddsf")])
 
 
 def test_scan_geometry_via_cli(tmp_path):
@@ -151,18 +150,15 @@ def test_scan_rerun_is_bit_identical(tmp_path):
 
 
 def test_scan_missing_file_exits_1(tmp_path, capsys):
-    rc = main(["scan", "--sample", str(tmp_path / "nope.ddsf"),
-               "--spot", str(tmp_path / "nope2.ddsf"), "-o", str(tmp_path / "o.ddsf")])
-    assert rc == 1
+    rejected(capsys, ["scan", "--sample", str(tmp_path / "nope.ddsf"),
+                      "--spot", str(tmp_path / "nope2.ddsf"), "-o", str(tmp_path / "o.ddsf")], 1)
 
 
 def test_scan_corrupt_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.ddsf"
     bad.write_bytes(b"not a ddsf image at all")
-    rc = main(["scan", "--sample", str(bad), "--spot", str(bad),
-               "-o", str(tmp_path / "o.ddsf")])
-    assert rc == 1
-    assert "format error" in capsys.readouterr().err
+    assert "format error" in rejected(capsys, ["scan", "--sample", str(bad), "--spot", str(bad),
+                                               "-o", str(tmp_path / "o.ddsf")], 1)
 
 
 def test_scan_invalid_step_exits_2(tmp_path, capsys):
@@ -171,9 +167,8 @@ def test_scan_invalid_step_exits_2(tmp_path, capsys):
     spot = tmp_path / "k.ddsf"
     main(["gen-spot", "--profile", "disk", "--radius", "0.5", "--side", "1",
           "-o", str(spot)])
-    rc = main(["scan", "--sample", str(sample), "--spot", str(spot),
-               "--step", "0", "-o", str(tmp_path / "o.ddsf")])
-    assert rc == 2
+    rejected(capsys, ["scan", "--sample", str(sample), "--spot", str(spot),
+                      "--step", "0", "-o", str(tmp_path / "o.ddsf")])
 
 
 @pytest.mark.parametrize("command", ["scan", "deconv", "pipeline"])
@@ -192,9 +187,8 @@ def test_huge_constant_background_exits_2_naming_it(tmp_path, capsys, command):
     }[command]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([*argv, "-o", str(out)]) == 2
-    assert "background level must keep the scan finite, got 1e+308" in capsys.readouterr().err
-    assert not out.exists()
+        err = rejected(capsys, [*argv, "-o", str(out)])
+    assert "background level must keep the scan finite, got 1e+308" in err
 
 
 def test_noise_cli_deterministic(tmp_path):
@@ -216,11 +210,9 @@ def test_noise_cli_deterministic(tmp_path):
 def test_noise_cli_rejects_negative_seed(tmp_path, capsys, sigma):
     src = tmp_path / "s.ddsf"
     save_ddsf(new_image(4, 4, 1.0, 0.0), src)
-    out = tmp_path / "n.ddsf"
-    assert main(["noise", "--input", str(src), "--sigma", sigma, "--seed", "-1",
-                 "-o", str(out)]) == 2
-    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
-    assert not out.exists()
+    assert "seed must be an integer >= 0, got -1" in rejected(
+        capsys, ["noise", "--input", str(src), "--sigma", sigma, "--seed", "-1",
+                 "-o", str(tmp_path / "n.ddsf")])
 
 
 def test_deconv_and_compare_roundtrip(tmp_path, capsys):
@@ -335,12 +327,9 @@ def test_config_requires_dense_step(tmp_path):
 def test_config_not_utf8_is_a_read_error(tmp_path, capsys):
     path = tmp_path / "bin.cfg"
     path.write_bytes(b"\xff\xfe")
-    out = tmp_path / "run"
-    assert main(["pipeline", "--config", str(path), "-o", str(out)]) == 2
-    assert capsys.readouterr().err == (
+    assert rejected(capsys, ["pipeline", "--config", str(path), "-o", str(tmp_path / "run")]) == (
         f"densescan: config error: cannot read config {path}: 'utf-8' codec can't decode "
         "byte 0xff in position 0: invalid start byte\n")
-    assert not out.exists()
 
 
 def test_config_text_roundtrip(tmp_path):
@@ -368,8 +357,8 @@ def test_pipeline_missing_config_exits_2(tmp_path):
 
 # --- pipeline harness ---------------------------------------------------------------
 
-def test_build_target_inset_geometry():
-    cfg = load_config_from_text(SMALL_CONFIG)
+def test_build_target_inset_geometry(tmp_path):
+    cfg = load_config(write_small_config(tmp_path))
     target = build_target(cfg)
     (x1, y1), (x2, y2) = inset_pair_points(cfg)
     assert target.pixels[y1, x1] == 1.0
@@ -385,23 +374,13 @@ def test_build_target_inset_geometry():
         build_target(replace(cfg, inset_pair_separation=21))
 
 
-def test_build_target_takes_integral_floats():
+def test_build_target_takes_integral_floats(tmp_path):
     # 10.0 is the integer 10, as for every other integer parameter
-    cfg = load_config_from_text(SMALL_CONFIG)
+    cfg = load_config(write_small_config(tmp_path))
     floats = replace(cfg, inset_pair_separation=8.0, inset_center_x=20.0,
                      inset_center_y=20.0, inset_clear_half=10.0)
     assert np.array_equal(build_target(floats).pixels, build_target(cfg).pixels)
     assert inset_pair_points(floats) == inset_pair_points(cfg)
-
-
-def load_config_from_text(text):
-    import tempfile
-    from pathlib import Path
-
-    with tempfile.TemporaryDirectory() as d:
-        p = Path(d) / "c.txt"
-        p.write_text(text)
-        return load_config(p)
 
 
 def test_pipeline_small_end_to_end(tmp_path):
@@ -441,9 +420,7 @@ def test_pipeline_rerun_bit_identical(tmp_path):
 
 def test_pipeline_noise_increases_error(tmp_path):
     clean_cfg = load_config(write_small_config(tmp_path))
-    noisy_path = tmp_path / "noisy.txt"
-    noisy_path.write_text(SMALL_CONFIG + "noise_sigma = 1e-3\nnoise_seed = 1\n")
-    noisy_cfg = load_config(noisy_path)
+    noisy_cfg = load_config(write_small_config(tmp_path, "noise_sigma = 1e-3\nnoise_seed = 1\n"))
     clean = run_pipeline(clean_cfg, tmp_path / "clean")
     noisy = run_pipeline(noisy_cfg, tmp_path / "noisy")
     assert noisy["reports"]["recovered_vs_expected"].mean_abs > \
@@ -454,9 +431,7 @@ def test_pipeline_half_extension_matches(tmp_path):
     # extension = (K-1)/2 gives the minimal 400x400-class lattice; the
     # recovered sample must agree with the extension = K-1 run
     base = load_config(write_small_config(tmp_path))
-    small_path = tmp_path / "half.txt"
-    small_path.write_text(SMALL_CONFIG + "extension = 4\n")
-    half = load_config(small_path)
+    half = load_config(write_small_config(tmp_path, "extension = 4\n"))
     full_run = run_pipeline(base, tmp_path / "full")
     half_run = run_pipeline(half, tmp_path / "half")
     inter_half = half_run["images"]["intermediate"]
@@ -467,9 +442,7 @@ def test_pipeline_half_extension_matches(tmp_path):
 
 
 def test_pipeline_noise_sweep_csv(tmp_path):
-    sweep_path = tmp_path / "sweep.txt"
-    sweep_path.write_text(SMALL_CONFIG + "noise_sweep = 0 1e-8 1e-6\n")
-    cfg = load_config(sweep_path)
+    cfg = load_config(write_small_config(tmp_path, "noise_sweep = 0 1e-8 1e-6\n"))
     run = run_pipeline(cfg, tmp_path / "sweep")
     lines = (tmp_path / "sweep" / "noise_sweep.csv").read_text().strip().splitlines()
     assert lines[0] == CSV_HEADER
@@ -479,9 +452,8 @@ def test_pipeline_noise_sweep_csv(tmp_path):
 
 
 def test_pipeline_noise_sweep_repeated_sigma_keeps_each_row(tmp_path):
-    sweep_path = tmp_path / "sweep.txt"
-    sweep_path.write_text(SMALL_CONFIG + "noise_sweep = 0 1e-6 1e-6\n")
-    run = run_pipeline(load_config(sweep_path), tmp_path / "sweep")
+    cfg = load_config(write_small_config(tmp_path, "noise_sweep = 0 1e-6 1e-6\n"))
+    run = run_pipeline(cfg, tmp_path / "sweep")
     lines = (tmp_path / "sweep" / "noise_sweep.csv").read_text().strip().splitlines()
     assert lines[0] == CSV_HEADER
     assert [line.split(",")[0] for line in lines[1:]] == [
@@ -514,10 +486,8 @@ def test_overflowing_value_exits_2_naming_it(tmp_path, capsys, argv, message):
     # RuntimeWarnings are errors under pytest, so this also checks that neither warns
     sample = tmp_path / "s.ddsf"
     save_ddsf(new_image(64, 64, 1.0, 0.0), sample)
-    out = tmp_path / "out.ddsf"
-    assert main([a.format(sample=sample) for a in argv] + ["-o", str(out)]) == 2
-    assert capsys.readouterr().err == f"densescan: invalid argument: {message}\n"
-    assert not out.exists()
+    argv = [a.format(sample=sample) for a in argv] + ["-o", str(tmp_path / "out.ddsf")]
+    assert rejected(capsys, argv) == f"densescan: invalid argument: {message}\n"
 
 
 def test_default_config_is_valid():
@@ -687,19 +657,16 @@ def test_blur_needs_exactly_one_psf_source(tmp_path, capsys):
     sample = tmp_path / "s.ddsf"
     save_ddsf(new_image(8, 8, 1.0, 1.0), sample)
     base = ["blur", "--sample", str(sample), "-o", str(tmp_path / "b.ddsf")]
-    assert main(base) == 2
-    assert main([*base, "--psf", str(sample), "--airy-radius", "2"]) == 2
-    assert "not allowed with" in capsys.readouterr().err
-    assert not (tmp_path / "b.ddsf").exists()
+    rejected(capsys, base)
+    assert "not allowed with" in rejected(capsys, [*base, "--psf", str(sample),
+                                                   "--airy-radius", "2"])
 
 
 def test_blur_psf_side_needs_a_generated_psf(tmp_path, capsys):
     # rejected before any file is read: the sample path does not exist
-    out = tmp_path / "b.ddsf"
-    assert main(["blur", "--sample", str(tmp_path / "absent.ddsf"), "--psf",
-                 str(tmp_path / "psf.ddsf"), "--psf-side", "5", "-o", str(out)]) == 2
-    assert "--psf-side" in capsys.readouterr().err
-    assert not out.exists()
+    assert "--psf-side" in rejected(capsys, ["blur", "--sample", str(tmp_path / "absent.ddsf"),
+                                             "--psf", str(tmp_path / "psf.ddsf"),
+                                             "--psf-side", "5", "-o", str(tmp_path / "b.ddsf")])
 
 
 @pytest.mark.parametrize("extra", [
@@ -714,10 +681,8 @@ def test_blur_psf_side_needs_a_generated_psf(tmp_path, capsys):
 ], ids=lambda extra: extra.strip().replace(" = ", "=").replace("\n", ","))
 def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys, extra):
     path = write_small_config(tmp_path, extra)
-    out = tmp_path / "run"
-    assert main(["pipeline", "--config", str(path), "-o", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
+    assert "config error" in rejected(capsys, ["pipeline", "--config", str(path),
+                                               "-o", str(tmp_path / "run")])
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -742,13 +707,7 @@ def test_run_pipeline_validates_config_built_in_code(tmp_path, overrides, messag
 
 
 def test_pipeline_synthesizes_the_spot_once(tmp_path, monkeypatch):
-    calls = []
-
-    def counting_make_spot(*args):
-        calls.append(args)
-        return make_spot(*args)
-
-    monkeypatch.setattr(cli, "make_spot", counting_make_spot)
+    calls = spy(monkeypatch, cli, "make_spot")
     path = write_small_config(tmp_path)
     assert main(["pipeline", "--config", str(path), "-o", str(tmp_path / "run")]) == 0
     assert len(calls) == 1
@@ -768,26 +727,7 @@ def test_default_pipeline_blurs_with_the_full_psf(tmp_path):
 def test_default_pipeline_peak_memory(tmp_path):
     # the 2001^2 PSF alone is 30.5 MiB; the 300^2 quadrant the blur reads is 0.7 MiB.
     # 8.31 MiB measured (numpy 2.4.6), so 1.19 MiB of margin
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        run_pipeline(PipelineConfig(), tmp_path / "run")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 9.5 * 2**20
-
-
-def _peak_mib(call):
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    assert peak_mib(lambda: run_pipeline(PipelineConfig(), tmp_path / "run")) <= 9.5
 
 
 def test_default_blur_and_recovery_peak_memory():
@@ -799,11 +739,11 @@ def test_default_blur_and_recovery_peak_memory():
     expected, spot = build_target(cfg), build_spot(cfg)
     quadrant = _microscope_quadrant(cfg.microscope_radius, cfg.microscope_side,
                                     expected.pixels.shape)
-    assert _peak_mib(lambda: _even_blur(expected, quadrant)) <= 5.0
+    assert peak_mib(lambda: _even_blur(expected, quadrant)) <= 5.0
     inter = simulate_scan(expected, spot, ScanConfig(cfg.step, cfg.extension), cfg.scan_method)
     roi = Rect(0, 0, cfg.roi_width, cfg.roi_height)
     request = cli.SOLVERS[cfg.method](cfg)
-    assert _peak_mib(lambda: recover(inter, spot, roi, cfg.extension, request)) <= 4.5
+    assert peak_mib(lambda: recover(inter, spot, roi, cfg.extension, request)) <= 4.5
 
 
 # a 64 px run's 64^2 quadrant of a 201^2 PSF (v_max 27, cropped from the full PSF), and
@@ -829,18 +769,13 @@ def test_blur_airy_radius_writes_the_pipeline_baseline(tmp_path, extra):
 
 def test_blur_airy_radius_peak_memory(tmp_path):
     # the 2001^2 PSF alone is 30.5 MiB; the 300^2 quadrant a 300^2 blur reads is 0.7 MiB
-    import tracemalloc
-
     sample = tmp_path / "s.ddsf"
     save_ddsf(new_image(300, 300, 0.1, 1.0), sample)
-    tracemalloc.start()
-    try:
-        assert main(["blur", "--sample", str(sample), "--airy-radius", "2000",
-                     "--psf-side", "2001", "-o", str(tmp_path / "b.ddsf")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 20 * 2**20
+    codes = []
+    assert peak_mib(lambda: codes.append(main(["blur", "--sample", str(sample), "--airy-radius",
+                                               "2000", "--psf-side", "2001",
+                                               "-o", str(tmp_path / "b.ddsf")]))) <= 20
+    assert codes == [0]
 
 
 def test_blur_airy_radius_with_a_huge_side(tmp_path):
@@ -862,13 +797,10 @@ def test_blur_rejects_a_psf_whose_sum_overflows(tmp_path, capsys, args):
 
     sample = tmp_path / "s.ddsf"
     save_ddsf(new_image(16, 16, 0.1, 1.0), sample)
-    out = tmp_path / "b.ddsf"
     start = time.perf_counter()
-    assert main(["blur", "--sample", str(sample), *args, "-o", str(out)]) == 2
+    err = rejected(capsys, ["blur", "--sample", str(sample), *args, "-o", str(tmp_path / "b.ddsf")])
     assert time.perf_counter() - start < 5.0
-    assert "psf side and first_zero_radius must keep the PSF's sum finite" in (
-        capsys.readouterr().err)
-    assert not out.exists()
+    assert "psf side and first_zero_radius must keep the PSF's sum finite" in err
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -877,23 +809,14 @@ def test_blur_rejects_a_psf_whose_sum_overflows(tmp_path, capsys, args):
 ], ids=["inset_center_x=2", "microscope_side=4"])
 def test_pipeline_failing_run_creates_no_directory(tmp_path, capsys, extra, message):
     path = write_small_config(tmp_path, extra)
-    out = tmp_path / "run"
-    assert main(["pipeline", "--config", str(path), "-o", str(out)]) == 2
-    err = capsys.readouterr().err
+    err = rejected(capsys, ["pipeline", "--config", str(path), "-o", str(tmp_path / "run")])
     assert message in err
     assert "config error" in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), -1.0], ids=["nan", "-1"])
 def test_bad_noise_sweep_fails_before_the_microscope_psf(tmp_path, monkeypatch, sigma):
-    calls = []
-
-    def counting_microscope_window(*args):
-        calls.append(args)
-        return _microscope_quadrant(*args)
-
-    monkeypatch.setattr(scanner, "_microscope_quadrant", counting_microscope_window)
+    calls = spy(monkeypatch, scanner, "_microscope_quadrant")
     cfg = replace(load_config(write_small_config(tmp_path)), noise_sweep=(sigma,))
     out = tmp_path / "run"
     with pytest.raises(ConfigError, match="^noise_sweep: sigma must be finite and >= 0"):
@@ -904,13 +827,7 @@ def test_bad_noise_sweep_fails_before_the_microscope_psf(tmp_path, monkeypatch, 
 
 def test_bad_solve_fails_before_the_microscope_psf(tmp_path, monkeypatch):
     # the method's own solve runs before the baseline's PSF is built
-    calls = []
-
-    def counting_microscope_window(*args):
-        calls.append(args)
-        return _microscope_quadrant(*args)
-
-    monkeypatch.setattr(scanner, "_microscope_quadrant", counting_microscope_window)
+    calls = spy(monkeypatch, scanner, "_microscope_quadrant")
     cfg = replace(load_config(write_small_config(tmp_path)),
                   spot_side=15, extension=6, method="inverse")
     out = tmp_path / "run"
@@ -922,29 +839,25 @@ def test_bad_solve_fails_before_the_microscope_psf(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_gen_sample_rejects_bad_size_as_the_size(tmp_path, capsys, size):
-    out = tmp_path / "sample.ddsf"
-    assert main(["gen-sample", "--pattern", "bar-grid", "--size", size, "-o", str(out)]) == 2
-    assert "size must be an integer >= 1" in capsys.readouterr().err
-    assert not out.exists()
+    assert "size must be an integer >= 1" in rejected(
+        capsys, ["gen-sample", "--pattern", "bar-grid", "--size", size,
+                 "-o", str(tmp_path / "sample.ddsf")])
 
 
 @pytest.mark.parametrize("profile, side", [("gaussian", "0"), ("airy", "-3")])
 def test_gen_spot_rejects_bad_side_as_the_side(tmp_path, capsys, profile, side):
-    out = tmp_path / "spot.ddsf"
-    assert main(["gen-spot", "--profile", profile, "--side", side, "-o", str(out)]) == 2
-    assert "spot side must be an integer >= 1" in capsys.readouterr().err
-    assert not out.exists()
+    assert "spot side must be an integer >= 1" in rejected(
+        capsys, ["gen-spot", "--profile", profile, "--side", side,
+                 "-o", str(tmp_path / "spot.ddsf")])
 
 
 @pytest.mark.parametrize("radius", ["inf", "nan", "-3"])
 def test_blur_rejects_bad_airy_radius(tmp_path, capsys, radius):
     sample = tmp_path / "s.ddsf"
     save_ddsf(new_image(8, 8, 1.0, 1.0), sample)
-    out = tmp_path / "b.ddsf"
-    assert main(["blur", "--sample", str(sample), "--airy-radius", radius,
-                 "-o", str(out)]) == 2
-    assert "first_zero_radius must be > 0" in capsys.readouterr().err
-    assert not out.exists()
+    assert "first_zero_radius must be > 0" in rejected(
+        capsys, ["blur", "--sample", str(sample), "--airy-radius", radius,
+                 "-o", str(tmp_path / "b.ddsf")])
 
 
 def test_ddsf_with_a_bad_pitch_is_a_format_error(tmp_path, capsys):
@@ -963,10 +876,9 @@ def test_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
         raise MemoryError(message)
 
     monkeypatch.setattr(cli, "generate", no_memory)
-    out = tmp_path / "x.ddsf"
-    assert main(["gen-sample", "--pattern", "bar-grid", "--size", "100001", "-o", str(out)]) == 1
-    assert capsys.readouterr().err == f"densescan: out of memory: {message}\n"
-    assert not out.exists()
+    assert rejected(capsys, ["gen-sample", "--pattern", "bar-grid", "--size", "100001",
+                             "-o", str(tmp_path / "x.ddsf")], 1) == (
+        f"densescan: out of memory: {message}\n")
 
 
 # --- an output that cannot be written fails before the work -------------------------
@@ -981,21 +893,13 @@ def test_deconv_unwritable_output_fails_before_the_solve(tmp_path, monkeypatch, 
     save_ddsf(new_image(20, 20, 1.0, 1.0), inter)
     save_ddsf(make_spot(Gaussian(1.0), 5).image, spot)
     (tmp_path / "file").write_text("")
-    calls = []
-    real_recover = cli.recover
-
-    def counting_recover(*args):
-        calls.append(args)
-        return real_recover(*args)
-
-    monkeypatch.setattr(cli, "recover", counting_recover)
+    calls = spy(monkeypatch, cli, "recover")
     out = tmp_path / where
-    assert main(["deconv", "--intermediate", str(inter), "--spot", str(spot), "--extension", "4",
-                 "--method", "cgls", "--max-iters", "5", "-o", str(out)]) == 1
-    captured = capsys.readouterr()
+    err = rejected(capsys, ["deconv", "--intermediate", str(inter), "--spot", str(spot),
+                            "--extension", "4", "--method", "cgls", "--max-iters", "5",
+                            "-o", str(out)], 1)
     assert calls == []
-    assert captured.out == ""
-    assert captured.err == f"densescan: {message}: {str(out)!r}\n"
+    assert err == f"densescan: {message}: {str(out)!r}\n"
 
 
 @pytest.mark.parametrize("command", ["deconv", "gen-sample"])
@@ -1024,14 +928,7 @@ def test_output_that_is_a_directory_fails_before_the_work(tmp_path, capsys, comm
 def test_pipeline_unwritable_output_fails_before_any_stage(tmp_path, monkeypatch, capsys,
                                                           where, message):
     (tmp_path / "file").write_text("")
-    calls = []
-    real_build_spot = cli.build_spot
-
-    def counting_build_spot(*args):
-        calls.append(args)
-        return real_build_spot(*args)
-
-    monkeypatch.setattr(cli, "build_spot", counting_build_spot)
+    calls = spy(monkeypatch, cli, "build_spot")
     path = write_small_config(tmp_path)
     before = sorted(tmp_path.rglob("*"))
     out = tmp_path / where
@@ -1113,14 +1010,7 @@ def test_help_twice_prints_the_same(capsys):
 def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
     assert main(["gen-sample", "--pattern", "bar-grid", "--size", "8",
                  "-o", str(tmp_path / "a.ddsf")]) == 0
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    built = spy(monkeypatch, argparse.ArgumentParser, "__init__")
     assert main(["gen-sample", "--pattern", "bar-grid", "--size", "8",
                  "-o", str(tmp_path / "b.ddsf")]) == 0
     assert built == []

@@ -26,7 +26,7 @@ from densescan.scanner import (
     simulate_scan,
 )
 
-from conftest import NOT_INTEGERS, scan_oracle
+from conftest import NOT_INTEGERS, scan_oracle, spy
 
 
 def forward(sample, spot, ext, method="fft"):
@@ -320,19 +320,12 @@ def test_kernel_transforms_per_solve(monkeypatch, rng, request_):
     # the spot once, also when a constant background's response is removed.
     sample = Image(rng.random((24, 24)), 1.0)
     spot = make_spot(Gaussian(1.0), 9)
-    transfer, calls = scanner._transfer, []
-
-    def counting(*args):
-        calls.append(args[1])  # the grid
-        return transfer(*args)
-
     for background in (ZeroBackground(), ConstantBackground(0.3)):
         inter = simulate_scan(sample, spot, ScanConfig(1, 8, background))
-        calls.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(scanner, "_transfer", counting)
+            calls = spy(patch, scanner, "_transfer")
             recover(inter, spot, Rect(0, 0, 24, 24), 8, request_, background)
-        assert len(calls) == 1, (background, calls)
+        assert len(calls) == 1, (background, [args[1] for args in calls])  # the grids
 
 
 def test_spectral_pair_reads_the_adjoint_sites(rng):
@@ -522,23 +515,13 @@ def test_cgls_transforms_once_each_way_per_iteration(monkeypatch, rng, ext):
     inter = forward(Image(rng.random((24, 24)), 1.0), spot, ext)
     op = ScanOperator(spot.pixels, (24, 24), ext)
     op.transfer  # computed once, outside the count
-    calls = {"spectrum": 0, "inverse": 0}
-    spectrum, inverse = ScanOperator.spectrum, scanner._inverse
-
-    def counting_spectrum(*args):
-        calls["spectrum"] += 1
-        return spectrum(*args)
-
-    def counting_inverse(*args):
-        calls["inverse"] += 1
-        return inverse(*args)
-
-    monkeypatch.setattr(ScanOperator, "spectrum", counting_spectrum)
-    monkeypatch.setattr(scanner, "_inverse", counting_inverse)
+    spectra = spy(monkeypatch, ScanOperator, "spectrum")
+    inverses = spy(monkeypatch, scanner, "_inverse")
     _, iters, _ = _cgls(op, inter.pixels + 0.01 * rng.standard_normal(inter.pixels.shape),
                         1e-30, 12)
     assert iters == 12
-    assert calls == {"spectrum": iters + 1, "inverse": iters + 1}
+    assert {"spectrum": len(spectra), "inverse": len(inverses)} == {
+        "spectrum": iters + 1, "inverse": iters + 1}
 
 
 def _where_inverse(h, yspec, threshold):

@@ -1,7 +1,7 @@
 import os
 import re
 import threading
-import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from densescan.grid import (
     save_ddsf,
 )
 
-from conftest import NOT_INTEGERS
+from conftest import NOT_INTEGERS, peak_mib
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 small_images = hnp.arrays(
@@ -34,7 +34,7 @@ pitches = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 
 def read_pgm(path):
     # minimal independent P5 parser (test oracle)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", blob)
     assert m, "not a binary PGM"
     w, h, maxval = (int(g) for g in m.groups())
@@ -288,14 +288,10 @@ def test_ddsf_load_holds_one_payload(tmp_path):
     path = tmp_path / "x.ddsf"
     im = Image(np.random.default_rng(8).random((501, 501)), 0.1)
     save_ddsf(im, path)
-    tracemalloc.start()
-    try:
-        back = load_ddsf(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(back.pixels, im.pixels)
-    assert peak <= 1.25 * im.pixels.nbytes
+    loaded = []
+    peak = peak_mib(lambda: loaded.append(load_ddsf(path)))
+    assert np.array_equal(loaded[0].pixels, im.pixels)
+    assert peak <= 1.25 * im.pixels.nbytes / 2**20
 
 
 def test_ddsf_huge_header_on_short_file(tmp_path):
@@ -305,14 +301,12 @@ def test_ddsf_huge_header_on_short_file(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[8:16] = (65535).to_bytes(4, "little") * 2
     path.write_bytes(bytes(blob))
-    tracemalloc.start()
-    try:
+
+    def load():
         with pytest.raises(FormatError, match="truncated payload"):
             load_ddsf(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+
+    assert peak_mib(load) < 1
 
 
 @pytest.mark.parametrize("cut", [0, 8], ids=["whole", "truncated"])

@@ -24,7 +24,7 @@ from densescan.psf import (
     make_spot,
 )
 
-from conftest import NOT_INTEGERS
+from conftest import NOT_INTEGERS, peak_mib, spy
 from test_routes import check_quadrant, v_max
 
 # Values frozen from the power-series oracle
@@ -361,15 +361,9 @@ def test_multi_block_psf_equals_full_grid_evaluation(radius, side):
 def test_default_psf_peak_memory_is_near_its_output():
     # the output, the blocks, the octant mask and Image's finiteness mask: no
     # full-size temporary and no copy (the builder freezes it and Image adopts it)
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        psf = make_microscope_psf(2000.0, 2001)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.35 * psf.pixels.nbytes
+    built = []
+    peak = peak_mib(lambda: built.append(make_microscope_psf(2000.0, 2001)))
+    assert peak <= 1.35 * built[0].pixels.nbytes / 2**20
 
 
 # --- the blur's window ----------------------------------------------------------------
@@ -472,13 +466,7 @@ def test_closed_sum_cost_does_not_grow_with_the_side():
 ])
 def test_microscope_window_sums_in_closed_form_only_where_it_pays(
         monkeypatch, radius, side, half, closed):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return _airy_square_sum(*args)
-
-    monkeypatch.setattr(psf_module, "_airy_square_sum", counting)
+    calls = spy(monkeypatch, psf_module, "_airy_square_sum")
     shape = (half + 1, half + 1)
     quadrant = _microscope_quadrant(radius, side, shape)
     assert (v_max(radius, side) <= _SERIES_CUTOFF) == closed
