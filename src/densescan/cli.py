@@ -251,6 +251,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> dict
             sweep.append((sigma, compare(swept.recovered, expected)))
 
         result = recover(intermediate, spot, roi, cfg.extension, request, cfg.background)
+        # the scan and every solve shared the spot's operator; dropping the spot frees its
+        # transfer before the baseline's peak
+        del spot
 
         # the baseline last
         conventional = scanner._airy_baseline(expected, cfg.microscope_radius,

@@ -13,9 +13,12 @@ the spot). Each request class solves in its own ``solve(op, y)``:
 * LeastSquaresCG - conjugate gradients on the normal equations, applied
   matrix-free through the same operator.
 
-:func:`recover` builds the operator, subtracts a constant known
+:func:`recover` takes the spot's operator, subtracts a constant known
 background's forward response (so every solver sees the zero-background
-model) and calls ``solve``.
+model) and calls ``solve``. The operator is the one
+:func:`~densescan.scanner.simulate_scan` scanned with, shared per spot
+object (``scanner._operator``): a scan and every solve on one spot transform
+the spot once.
 
 All four solvers share the operator's kernel embedding and FFT grid: the
 spectral pair divides by its transfer, exact when extension >=
@@ -35,7 +38,7 @@ import numpy as np
 
 from .grid import Image, Rect, _integer, _nonnegative, _positive
 from .psf import SpotImage
-from .scanner import Background, ScanOperator, ZeroBackground
+from .scanner import Background, ScanOperator, ZeroBackground, _operator
 
 _RL_DIVISION_GUARD = 1e-12  # relative to max|y| over the window
 
@@ -144,9 +147,9 @@ def dft2_inverse(spectrum) -> np.ndarray:
     return np.fft.ifft2(arr)
 
 
-def _checked_operator(y: np.ndarray, spot: np.ndarray, extension: int, roi: Rect) -> ScanOperator:
+def _checked_operator(y: np.ndarray, spot: SpotImage, extension: int, roi: Rect) -> ScanOperator:
     """Check that ``y`` less ``extension`` px per side leaves a sample
-    extent holding ``roi``; return the scan operator of that extent."""
+    extent holding ``roi``; return the spot's scan operator of that extent."""
     extension = _integer("extension", extension, 0)
     base_h, base_w = (n - 2 * extension for n in y.shape)
     if base_w < 1 or base_h < 1:
@@ -155,7 +158,7 @@ def _checked_operator(y: np.ndarray, spot: np.ndarray, extension: int, roi: Rect
         )
     if roi.x0 < 0 or roi.y0 < 0 or roi.x0 + roi.width > base_w or roi.y0 + roi.height > base_h:
         raise ValueError(f"roi {roi} exceeds the reconstructed extent {base_w}x{base_h}")
-    return ScanOperator(spot, (base_h, base_w), extension)
+    return _operator(spot, (base_h, base_w), extension)
 
 
 def _crop(field: np.ndarray, roi: Rect) -> np.ndarray:
@@ -168,7 +171,7 @@ def adjoint_apply(image: Image, spot: SpotImage, roi: Rect, extension: int) -> I
     This is correlation with the 180-degree-rotated spot restricted to
     sample coordinates, cropped to ``roi``.
     """
-    op = _checked_operator(image.pixels, spot.pixels, extension, roi)
+    op = _checked_operator(image.pixels, spot, extension, roi)
     return Image(_crop(op.adjoint(image.pixels), roi), image.pitch)
 
 
@@ -247,7 +250,7 @@ def recover(intermediate: Image, spot: SpotImage, roi: Rect, extension: int,
     response before inversion, so every solver sees the zero-background
     model.
     """
-    op = _checked_operator(intermediate.pixels, spot.pixels, extension, roi)
+    op = _checked_operator(intermediate.pixels, spot, extension, roi)
     if not isinstance(background, Background):
         raise ValueError(f"unknown background model {background!r}")
     if not isinstance(request, DeconvRequest):

@@ -238,12 +238,12 @@ def export_pgm(image: Image, path: str | Path, bit_depth: int = 8) -> None:
             # hi - lo overflowed; halving every value is exact and brings it in range
             px, lo, hi = px / 2, lo / 2, hi / 2
         # one buffer, scaled in place; divide before scaling: for near-degenerate
-        # ranges the ratio stays in [0, 1] where a precomputed 1/(hi-lo) would overflow
+        # ranges the ratio stays in [0, 1] where a precomputed 1/(hi-lo) would overflow.
+        # Rounding is monotone, so lo <= px <= hi keeps every level in [0, maxval]
         levels = np.subtract(px, lo)
         levels /= hi - lo
         levels *= maxval
         np.rint(levels, out=levels)
-        np.clip(levels, 0, maxval, out=levels)
     else:
         levels = np.full(px.shape, float(1 << (bit_depth - 1)))
     header = f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")

@@ -10,6 +10,10 @@ outputs by construction.
 
 That correlation is one linear map, :class:`ScanOperator`, used by the
 fft scan, all four solvers and the wide-field blur of an uneven PSF.
+A :class:`~densescan.psf.SpotImage` keeps the last operator built for it
+(:func:`_operator`), so the fft scan and every solve on one spot share one
+transfer, which lives as long as the spot; the blur, handed a bare PSF
+array, builds its own.
 Only the sites within pad = min(extension, spot_side // 2) px of an N-px
 sample can be nonzero, N + 2 * pad per axis. It computes them on a
 circular grid of the next 5-smooth (fast FFT) length >= N + pad +
@@ -54,6 +58,8 @@ the step equals the spot side.
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,9 +181,10 @@ def _inverse(spec: np.ndarray, grid: tuple[int, int], out: np.ndarray) -> np.nda
 
 
 class ScanOperator:
-    """The step-1 scan of a sample of ``shape`` (rows, columns), built
-    once per (spot, sample shape, extension); see the module docstring.
-    The kernel's ``transfer`` is computed when the operator is built.
+    """The step-1 scan of a sample of ``shape`` (rows, columns); see the module
+    docstring. The kernel's ``transfer`` is computed when the operator is built
+    and frozen (read-only), so one operator serves any number of calls:
+    :func:`_operator` keeps one per spot.
     """
 
     def __init__(self, spot: np.ndarray, shape: tuple[int, int], extension: int) -> None:
@@ -201,6 +208,11 @@ class ScanOperator:
         # Fields sit at the grid origin; the kernel's offset puts window
         # site 0 at grid index 0, so no call shifts an input or output.
         self.transfer = _transfer(spot, self.grid, self._offset)
+        self.transfer.setflags(write=False)
+        # for norm2: the grid's size, and the rFFT columns that stand for no mirror
+        # (0 and an even grid's Nyquist)
+        self._cells = math.prod(self.grid)
+        self._unpaired = [0, -1] if self.grid[1] % 2 == 0 else [0]
 
     def forward(self, x: np.ndarray, level: float = 0.0) -> np.ndarray:
         """Scan field of ``x`` on a fresh ``lattice``, the sample extended by ``level``;
@@ -252,10 +264,11 @@ class ScanOperator:
 
     def norm2(self, spec: np.ndarray) -> float:
         """Squared norm of the real grid field whose rFFT is ``spec`` (Parseval)."""
-        # each column stands for its mirror too, but 0 and an even grid's Nyquist
-        unpaired = spec[:, [0, -1] if self.grid[1] % 2 == 0 else [0]]
+        # each column stands for its mirror too, but the unpaired ones; a fancy-index
+        # copy, as a strided view would make vdot sum in another order
+        unpaired = spec[:, self._unpaired]
         total = 2.0 * np.vdot(spec, spec).real - np.vdot(unpaired, unpaired).real
-        return float(total) / np.prod(self.grid)
+        return float(total) / self._cells
 
     def deconvolve(self, y: np.ndarray, divide) -> np.ndarray:
         """``divide(transfer, spectrum)`` of the sites :meth:`adjoint` reads, transformed
@@ -267,6 +280,22 @@ class ScanOperator:
         out = np.empty(self.shape)
         spec = divide(self.transfer, self.spectrum(y[self.sites]))
         return _inverse(spec, self.grid, out)
+
+
+# each live spot's last operator; an entry goes when its spot is collected
+_OPERATORS: weakref.WeakKeyDictionary[SpotImage, ScanOperator] = weakref.WeakKeyDictionary()
+
+
+def _operator(spot: SpotImage, shape: tuple[int, int], extension: int) -> ScanOperator:
+    """The :class:`ScanOperator` of ``spot`` on a sample of ``shape``, shared by every
+    call on this spot object until the shape or the extension changes, when it is rebuilt:
+    one operator per spot, dropped with the spot. Keyed on the object, not on its pixels.
+    Concurrent first calls may each build one, and the last stored is kept; each call
+    returns an operator of its own (shape, extension)."""
+    op = _OPERATORS.get(spot)
+    if op is None or op.shape != shape or op.extension != extension:
+        op = _OPERATORS[spot] = ScanOperator(spot.pixels, shape, extension)
+    return op
 
 
 def _even_transfer(quadrant: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
@@ -308,11 +337,15 @@ SCAN_METHODS = ("auto", "fft", "direct")
 
 
 def _scan_field(sample: np.ndarray, kernel: np.ndarray, extension: int,
-                level: float, method: str, step: int = 1) -> np.ndarray:
+                level: float, method: str, step: int = 1,
+                spot: SpotImage | None = None) -> np.ndarray:
     """Correlation of the level-extended sample with ``kernel`` at every
-    ``step``-th lattice site."""
+    ``step``-th lattice site. Given the ``spot`` whose pixels ``kernel`` is, the
+    transforms run on its shared :func:`_operator`, else on one built for the call."""
     if method in ("fft", "auto"):
-        dense = ScanOperator(kernel, sample.shape, extension).forward(sample, level)
+        op = (ScanOperator(kernel, sample.shape, extension) if spot is None
+              else _operator(spot, sample.shape, extension))
+        dense = op.forward(sample, level)
         dense.setflags(write=False)  # fresh and owned: at step 1 Image adopts it without a copy
         off = (step - 1) // 2
         rows, cols = (n // step for n in dense.shape)
@@ -346,7 +379,7 @@ def simulate_scan(sample: Image, spot: SpotImage, config: ScanConfig,
             f"{sample.width + 2 * config.extension}x{sample.height + 2 * config.extension}"
         )
     field = _scan_field(sample.pixels, spot.pixels, config.extension,
-                        config.background.level, method, config.step)
+                        config.background.level, method, config.step, spot)
     return Image(field, sample.pitch * config.step)
 
 

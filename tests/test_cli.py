@@ -451,6 +451,22 @@ def test_pipeline_noise_sweep_csv(tmp_path):
     assert errs[0] < errs[1] < errs[2]
 
 
+def test_swept_default_run_transforms_the_spot_once(tmp_path, monkeypatch):
+    # the scan and all four solves share the spot's operator; a fresh spot per solve
+    # transforms it each time and writes the same bytes
+    cfg = replace(PipelineConfig(), noise_sweep=(1e-6, 1e-4, 1e-2))
+    calls = spy(monkeypatch, scanner, "_transfer")
+    run_pipeline(cfg, tmp_path / "shared")
+    assert len(calls) == 1
+    real = cli.recover
+    monkeypatch.setattr(cli, "recover",
+                        lambda inter, spot, *rest: real(inter, SpotImage(spot.image), *rest))
+    run_pipeline(cfg, tmp_path / "fresh")
+    assert len(calls) == 1 + 5
+    for name in ("noise_sweep.csv", "recovered.ddsf"):
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 def test_pipeline_noise_sweep_repeated_sigma_keeps_each_row(tmp_path):
     cfg = load_config(write_small_config(tmp_path, "noise_sweep = 0 1e-6 1e-6\n"))
     run = run_pipeline(cfg, tmp_path / "sweep")
@@ -726,7 +742,8 @@ def test_default_pipeline_blurs_with_the_full_psf(tmp_path):
 
 def test_default_pipeline_peak_memory(tmp_path):
     # the 2001^2 PSF alone is 30.5 MiB; the 300^2 quadrant the blur reads is 0.7 MiB.
-    # 8.31 MiB measured (numpy 2.4.6), so 1.19 MiB of margin
+    # 8.23 MiB measured (numpy 2.4.6), so 1.27 MiB of margin; a run that keeps its
+    # spot's shared operator through the baseline reads 9.65
     assert peak_mib(lambda: run_pipeline(PipelineConfig(), tmp_path / "run")) <= 9.5
 
 
@@ -743,7 +760,10 @@ def test_default_blur_and_recovery_peak_memory():
     inter = simulate_scan(expected, spot, ScanConfig(cfg.step, cfg.extension), cfg.scan_method)
     roi = Rect(0, 0, cfg.roi_width, cfg.roi_height)
     request = cli.SOLVERS[cfg.method](cfg)
-    assert peak_mib(lambda: recover(inter, spot, roi, cfg.extension, request)) <= 4.5
+    # a spot the scan did not use, as `densescan deconv` loads: the solve builds its
+    # operator's transfer too (3.99 MiB measured; 2.76 MiB on the scan's own spot)
+    fresh = SpotImage(spot.image)
+    assert peak_mib(lambda: recover(inter, fresh, roi, cfg.extension, request)) <= 4.5
 
 
 # a 64 px run's 64^2 quadrant of a 201^2 PSF (v_max 27, cropped from the full PSF), and

@@ -316,16 +316,22 @@ def test_recover_validation_errors(rng):
     InverseFilter(1e-9), Wiener(1e-6), RichardsonLucy(3), LeastSquaresCG(1e-10, 3),
 ], ids=["inverse", "wiener", "rl", "cgls"])
 def test_kernel_transforms_per_solve(monkeypatch, rng, request_):
-    # Every solver divides by or applies the one operator, which transforms
-    # the spot once, also when a constant background's response is removed.
+    # The scan and every solver divide by or apply the spot's one operator, so a
+    # scan and a solve on one spot transform it once, also when a constant
+    # background's response is removed; an equal but distinct spot has its own.
     sample = Image(rng.random((24, 24)), 1.0)
-    spot = make_spot(Gaussian(1.0), 9)
+    roi = Rect(0, 0, 24, 24)
     for background in (ZeroBackground(), ConstantBackground(0.3)):
-        inter = simulate_scan(sample, spot, ScanConfig(1, 8, background))
+        spot = make_spot(Gaussian(1.0), 9)
         with monkeypatch.context() as patch:
             calls = spy(patch, scanner, "_transfer")
-            recover(inter, spot, Rect(0, 0, 24, 24), 8, request_, background)
+            inter = simulate_scan(sample, spot, ScanConfig(1, 8, background))
+            recover(inter, spot, roi, 8, request_, background)
         assert len(calls) == 1, (background, [args[1] for args in calls])  # the grids
+        with monkeypatch.context() as patch:
+            calls = spy(patch, scanner, "_transfer")
+            recover(inter, SpotImage(spot.image), roi, 8, request_, background)
+        assert len(calls) == 1, (background, [args[1] for args in calls])
 
 
 def test_spectral_pair_reads_the_adjoint_sites(rng):

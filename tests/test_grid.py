@@ -436,6 +436,36 @@ def test_pgm_bytes_match_the_out_of_place_scaling(tmp_path, depth, kind):
     assert path.read_bytes().split(b"\n", 3)[3] == _pgm_body(data, depth)
 
 
+def _extreme_pixels(rng, kind, shape=(12, 16)):
+    # pixels at the edges of float64: where a rounding step could push a level
+    # past [0, maxval] if one were not monotone
+    big = np.finfo(np.float64).max
+    if kind == "huge":  # magnitudes from 1e-300 to 1e300, both signs
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    if kind == "ulps":  # a range a few ulps wide
+        base = np.array(rng.choice([1.0, -1e300, 1e-300, 3.0, 2.0**-1022]))
+        return (base.view(np.int64) + rng.integers(0, 5, shape)).view(np.float64)
+    if kind == "overflow":  # hi - lo overflows, so every value is halved
+        data = big * (2.0 * rng.random(shape) - 1.0)
+        data.flat[:2] = -big, big
+        return data
+    # subnormals of both signs, and zeros
+    return rng.choice([-1, 1], shape) * rng.integers(0, 2**20, shape) * 5e-324
+
+
+@pytest.mark.parametrize("depth", [8, 16])
+def test_pgm_levels_at_the_extremes_need_no_clip(tmp_path, depth):
+    # export_pgm does not clip its levels; at the extremes they still land in
+    # [0, maxval], so its bytes equal the clipped reference's
+    rng = np.random.default_rng(12)
+    path = tmp_path / "x.pgm"
+    for kind in ("huge", "ulps", "overflow", "subnormal"):
+        for _ in range(25):
+            data = _extreme_pixels(rng, kind)
+            export_pgm(Image(data, 1.0), path, depth)
+            assert path.read_bytes().split(b"\n", 3)[3] == _pgm_body(data, depth), kind
+
+
 def test_pgm_range_beyond_float_max(tmp_path):
     # hi - lo overflows float64; the levels must still span the range
     data = np.array([[-1e308, 0.0, 1e308]])

@@ -1,16 +1,20 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densescan.grid import Image, new_image
-from densescan.psf import Disk, Gaussian, make_microscope_psf, make_spot
+from densescan import scanner
+from densescan.psf import Disk, Gaussian, SpotImage, make_microscope_psf, make_spot
 from densescan.scanner import (
     ConstantBackground,
     ScanConfig,
     ScanOperator,
     ZeroBackground,
     _even_transfer,
+    _operator,
     _scan_field,
     add_noise,
     scan_dims,
@@ -343,6 +347,57 @@ def test_default_scan_is_the_fft_operator(step, background):
                          ids=["airy-11", "identity"])
 def test_default_blur_is_the_fft_operator(psf):
     assert check_blur(psf.pixels, np.random.default_rng(18).random((64, 64)))
+
+
+@pytest.mark.parametrize("shape, ext", [
+    # grids 32 x 75 and 72 x 75: an odd rFFT length, one unpaired column; a strided view
+    # of it, in place of the copy, makes vdot sum in another order and moves the norm
+    ((24, 67), 8), ((64, 67), 8),
+    ((30, 72), 8),  # grid 40 x 80: an even one, whose Nyquist column is unpaired too
+    ((10, 19), 2),  # grid 16 x 25
+])
+def test_norm2_is_the_parseval_sum_bitwise(shape, ext):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        op = ScanOperator(random_spot(rng, 9).pixels, shape, ext)
+        x = rng.standard_normal(shape)
+        for spec in (op.forward_spectrum(x), op.spectrum(x)):
+            unpaired = spec[:, [0, -1] if op.grid[1] % 2 == 0 else [0]]
+            total = 2.0 * np.vdot(spec, spec).real - np.vdot(unpaired, unpaired).real
+            want = float(total) / np.prod(op.grid)
+            assert np.float64(op.norm2(spec)).tobytes() == np.float64(want).tobytes(), seed
+
+
+def test_a_spot_keeps_one_operator_rebuilt_on_a_new_geometry():
+    spot = make_spot(Gaussian(1.5), 9)
+    op = _operator(spot, (24, 24), 8)
+    assert _operator(spot, (24, 24), 8) is op
+    wider = _operator(spot, (24, 24), 9)  # a changed extension rebuilds it
+    assert wider is not op and (wider.shape, wider.extension) == ((24, 24), 9)
+    assert _operator(spot, (24, 24), 9) is wider
+    taller = _operator(spot, (30, 24), 9)  # and so does a changed shape
+    assert (taller.shape, taller.extension) == ((30, 24), 9)
+    again = _operator(spot, (24, 24), 8)  # one per spot: the first was dropped
+    assert again is not op
+    assert again.transfer.tobytes() == op.transfer.tobytes()
+    # keyed on the object: an equal spot has its own
+    assert _operator(SpotImage(spot.image), (24, 24), 8) is not again
+
+
+def test_the_operator_goes_with_its_spot():
+    spot = make_spot(Gaussian(1.5), 9)
+    op = weakref.ref(_operator(spot, (24, 24), 8))
+    assert spot in scanner._OPERATORS and op() is not None
+    del spot
+    assert op() is None  # the map held the only reference, and dropped it with the spot
+
+
+def test_the_shared_transfer_is_read_only():
+    op = _operator(make_spot(Gaussian(1.5), 9), (24, 24), 8)
+    with pytest.raises(ValueError, match="read-only"):
+        op.transfer[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        op.transfer *= 2.0
 
 
 # --- widefield blur ------------------------------------------------------------
